@@ -99,9 +99,10 @@ campaign:
 	$(CARGO) run --release -p icr-sim --bin icr-campaign -- --trials 100
 
 ## Crash-safety smoke for the checkpointed campaign service: run a
-## sharded campaign straight through, run the same campaign again with
-## a SIGKILL mid-run, resume it, and require the two JSON reports to be
-## byte-identical. (The integration tests in
+## sharded campaign straight through, run the same campaign again and
+## SIGKILL it as soon as its first shard checkpoint appears (failing if
+## the kill does not land mid-run), resume it, and require the two JSON
+## reports to be byte-identical. (The integration tests in
 ## crates/icr-sim/tests/campaign_kill.rs do this at randomized kill
 ## points; this target is the fast release-build end-to-end check.)
 CAMPAIGN_RESUME_ARGS = --schemes basep,icr-p-ps-s --apps gzip --trials 200 \
@@ -116,13 +117,22 @@ campaign-resume:
 	./target/release/icr-campaign $(CAMPAIGN_RESUME_ARGS) \
 		--checkpoint target/ckpt-killed --json target/cr-killed.json & \
 	pid=$$!; \
-	sleep 0.7; \
-	if kill -9 $$pid 2>/dev/null; then \
-		echo "campaign-resume: SIGKILLed pid $$pid mid-run"; \
-	else \
-		echo "campaign-resume: campaign finished before the kill"; \
+	n=0; \
+	until ls target/ckpt-killed/shard-*.json >/dev/null 2>&1; do \
+		n=$$((n + 1)); \
+		if [ $$n -gt 3000 ]; then \
+			echo "campaign-resume: no checkpoint after 30 s" >&2; \
+			kill -9 $$pid 2>/dev/null; exit 1; \
+		fi; \
+		sleep 0.01; \
+	done; \
+	kill -9 $$pid 2>/dev/null || true; \
+	status=0; wait $$pid || status=$$?; \
+	if [ $$status -ne 137 ]; then \
+		echo "campaign-resume: the campaign exited ($$status) before the kill landed" >&2; \
+		exit 1; \
 	fi; \
-	wait $$pid || true
+	echo "campaign-resume: SIGKILLed pid $$pid mid-run, after its first checkpoint"
 	./target/release/icr-campaign $(CAMPAIGN_RESUME_ARGS) --resume \
 		--checkpoint target/ckpt-killed --json target/cr-killed.json
 	cmp target/cr-straight.json target/cr-killed.json

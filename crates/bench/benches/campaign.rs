@@ -15,12 +15,10 @@
 //! target runs, with the recorded numbers making the margin visible in
 //! review.
 //!
-//! Not a criterion target: the execution engine memoizes completed
-//! cells process-wide, so repeated iterations of one campaign would
-//! time the cache, not the work. Instead each repetition uses a fresh
-//! master seed per leg (cold by construction) and the best-of-3
-//! minimum is recorded, mirroring `BENCH_isa.json`; the `history`
-//! array carries prior totals forward like `BENCH_all.json`.
+//! Not a criterion target: each repetition uses a fresh master seed per
+//! leg, so no leg can reuse another's work, and the best-of-3 minimum
+//! is recorded, mirroring `BENCH_isa.json`; the `history` array carries
+//! prior totals forward like `BENCH_all.json`.
 
 use icr_core::Scheme;
 use icr_sim::json::{esc, num};
@@ -35,9 +33,7 @@ const OVERHEAD_LIMIT_PCT: f64 = 5.0;
 const HISTORY_KEEP: usize = 20;
 
 /// One campaign shape per (leg, repetition), distinguished only by the
-/// master seed: every leg must execute cold, and the engine memoizes on
-/// the full configuration — seed included — so distinct seeds are what
-/// keep the second leg from replaying the first leg's cache.
+/// master seed, so every leg executes cold.
 fn spec(master_seed: u64) -> ShardedCampaignSpec {
     let mut base = CampaignSpec::new(
         vec![Scheme::BASE_P, Scheme::ICR_P_PS_S],

@@ -317,13 +317,17 @@ impl LineArrays {
     }
 
     #[inline]
+    fn words(&self, slot: usize) -> &[ProtectedWord] {
+        &self.words[slot * self.words_per_block..][..self.words_per_block]
+    }
+
+    #[inline]
     fn words_mut(&mut self, slot: usize) -> &mut [ProtectedWord] {
         &mut self.words[slot * self.words_per_block..][..self.words_per_block]
     }
 
     fn plain_data(&self, slot: usize) -> DataBlock {
-        let ws = &self.words[slot * self.words_per_block..][..self.words_per_block];
-        DataBlock::from_words(ws.iter().map(|w| w.data()).collect())
+        DataBlock::from_words(self.words(slot).iter().map(|w| w.data()).collect())
     }
 
     /// Way of `set` holding the primary of `block`, if resident — one
@@ -884,6 +888,91 @@ impl DataL1 {
     pub fn word_data(&self, set: usize, way: usize, word: usize) -> Option<u64> {
         let sl = self.lines.slot(set, way);
         self.lines.valid[sl].then(|| self.lines.word(sl, word).data())
+    }
+
+    /// `true` when no copy of `block` can ever again raise an error
+    /// counter that [`ErrorOutcome::classify_single_fault`] reads,
+    /// provided nothing strikes the cache again. One-shot fault trials
+    /// stop at the first access after which this holds for the struck
+    /// block: from then on their outcome is fixed.
+    ///
+    /// It holds when every resident copy of `block` passes its code
+    /// unaided (the primary, the dL1 replicas and the copy spilled to
+    /// the L2 region), the primary's data equals the oracle shadow when
+    /// the oracle is on, and every dL1 replica's data equals the
+    /// primary's. A replica whose primary is not resident (the §5.6
+    /// keep-replicas mode) must equal the L2 copy instead, because a
+    /// store miss refills the primary from L2.
+    ///
+    /// Why this is exact:
+    ///
+    /// * No operation copies data across block addresses, so a
+    ///   strike's corrupted bits live only in copies of the struck
+    ///   block.
+    /// * L2 and memory are never checked, and every fill re-seeds the
+    ///   oracle shadow from the data it installs, so corrupted data
+    ///   written back to L2 can never raise a counter.
+    /// * Every classified counter needs one of three things: a primary
+    ///   word that fails its code (ECC correction and the whole recovery
+    ///   ladder, the only readers of replicas, spills and the
+    ///   duplication cache), a `PP` compare mismatch between a replica
+    ///   word and the primary word, or a primary word that differs from
+    ///   the shadow. Every later write encodes its data afresh and
+    ///   updates the primary, its replicas, the spill and the shadow
+    ///   alike, so once the predicate holds none of the three can
+    ///   arise again.
+    ///
+    /// [`ErrorOutcome::classify_single_fault`]: crate::ErrorOutcome::classify_single_fault
+    pub fn block_sealed(&self, block: BlockAddr, backend: &MemoryBackend) -> bool {
+        let intact = |ws: &[ProtectedWord]| ws.iter().all(ProtectedWord::is_clean);
+        let primary = self
+            .find_primary(block)
+            .map(|(s, w)| self.lines.words(self.lines.slot(s, w)));
+        if let Some(ws) = primary {
+            if !intact(ws) {
+                return false;
+            }
+            if let Some(truth) = self.shadow.get(&block) {
+                if ws.iter().zip(truth).any(|(w, &t)| w.data() != t) {
+                    return false;
+                }
+            }
+        }
+        if self.config.scheme.replicates() {
+            let g = self.config.geometry;
+            let mut orphan_reference = None;
+            for set in self
+                .config
+                .placement
+                .candidate_sets_iter(g, g.set_index(block))
+            {
+                let Some(way) = self.lines.replica_way(set.0, block) else {
+                    continue;
+                };
+                let rws = self.lines.words(self.lines.slot(set.0, way));
+                let matches = match primary {
+                    Some(ws) => rws.iter().zip(ws).all(|(r, p)| r.data() == p.data()),
+                    None => {
+                        let l2 =
+                            orphan_reference.get_or_insert_with(|| backend.golden_block(block));
+                        rws.iter().zip(l2.words()).all(|(r, &d)| r.data() == d)
+                    }
+                };
+                if !intact(rws) || !matches {
+                    return false;
+                }
+            }
+        }
+        if self.is_spilled(block) {
+            let region = backend.replica_region();
+            let slot = region
+                .slot_of(block)
+                .expect("spilled set mirrors region occupancy");
+            if !intact(region.words(slot)) {
+                return false;
+            }
+        }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -2756,6 +2845,104 @@ mod tests {
             }
         }
         assert_eq!(c.stats().silent_corruptions, 0, "no faults, no SDC");
+    }
+
+    #[test]
+    fn store_over_the_struck_word_seals() {
+        let mut b = backend();
+        let mut cfg = DataL1Config::paper_default(Scheme::BASE_P);
+        cfg.oracle = true;
+        let g = cfg.geometry;
+        let mut c = DataL1::new(cfg);
+        let a = Addr(0x1000_0000);
+        let block = g.block_addr(a);
+        c.store(a, 0, &mut b);
+        assert!(c.block_sealed(block, &b), "a healthy block is sealed");
+        let (ps, pw) = c.find_primary(block).unwrap();
+        c.flip_data_bit(ps, pw, g.word_index(a), 5);
+        assert!(!c.block_sealed(block, &b), "the struck word fails parity");
+        c.store(a, 1, &mut b);
+        assert!(c.block_sealed(block, &b), "the store re-encodes the word");
+        c.load(a, 2, &mut b);
+        assert_eq!(c.stats().errors_detected + c.stats().silent_corruptions, 0);
+    }
+
+    #[test]
+    fn clean_eviction_seals() {
+        let mut b = backend();
+        let cfg = DataL1Config::paper_default(Scheme::BASE_P);
+        let g = cfg.geometry;
+        let mut c = DataL1::new(cfg);
+        let a = addr_for_set(g, 0, 0);
+        let block = g.block_addr(a);
+        c.load(a, 0, &mut b);
+        let (ps, pw) = c.find_primary(block).unwrap();
+        c.flip_data_bit(ps, pw, g.word_index(a), 5);
+        assert!(!c.block_sealed(block, &b));
+        for t in 1..=4u64 {
+            c.load(addr_for_set(g, 0, t), t, &mut b);
+        }
+        assert!(c.find_primary(block).is_none(), "evicted clean");
+        assert!(c.block_sealed(block, &b), "no copy of the block remains");
+        c.load(a, 10, &mut b);
+        assert_eq!(c.stats().errors_detected, 0, "the refill is clean");
+    }
+
+    #[test]
+    fn pp_replica_mismatch_does_not_seal() {
+        let mut b = backend();
+        let cfg = DataL1Config::aggressive(Scheme::ICR_P_PP_LS);
+        let g = cfg.geometry;
+        let mut c = DataL1::new(cfg);
+        let a = Addr(0x1000_0000);
+        let block = g.block_addr(a);
+        c.load(a, 0, &mut b); // LS replicates on the load miss
+        let (rs, rw) = c.first_replica(block).expect("replicated");
+        // A same-byte double flip passes the replica's parity but leaves
+        // it disagreeing with the primary.
+        c.flip_data_bit(rs, rw, g.word_index(a), 8);
+        c.flip_data_bit(rs, rw, g.word_index(a), 9);
+        assert!(!c.block_sealed(block, &b));
+        c.load(a, 10, &mut b);
+        assert_eq!(c.stats().errors_caught_by_compare, 1);
+        assert!(
+            c.block_sealed(block, &b),
+            "the refetch restored both copies"
+        );
+    }
+
+    #[test]
+    fn laundered_primary_under_the_oracle_does_not_seal() {
+        let mut b = backend();
+        let mut cfg = DataL1Config::aggressive(Scheme::ICR_ECC_PS_S);
+        cfg.oracle = true;
+        let g = cfg.geometry;
+        let mut c = DataL1::new(cfg);
+        let a = Addr(0x1000_0000);
+        let block = g.block_addr(a);
+        c.load(a, 0, &mut b); // unreplicated: SEC-DED
+        let (ps, pw) = c.find_primary(block).unwrap();
+        c.flip_data_bit(ps, pw, g.word_index(a), 3);
+        assert!(!c.block_sealed(block, &b), "SEC-DED flags the flip");
+        // A store to another word replicates the block, and the switch to
+        // parity re-encodes the corrupted word under clean check bits.
+        c.store(Addr(a.raw() + 8), 1, &mut b);
+        assert!(c.has_replica(block));
+        assert!(c
+            .lines
+            .words(c.lines.slot(ps, pw))
+            .iter()
+            .all(|w| w.is_clean()));
+        assert!(
+            !c.block_sealed(block, &b),
+            "the primary disagrees with the oracle"
+        );
+        c.load(a, 10, &mut b);
+        assert_eq!(c.stats().silent_corruptions, 1);
+        assert!(
+            c.block_sealed(block, &b),
+            "the consumed corruption is folded in"
+        );
     }
 
     #[test]

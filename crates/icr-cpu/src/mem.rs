@@ -16,6 +16,15 @@ pub trait DataMemory {
     /// returns the cycles the store occupies commit (1 in the common,
     /// buffered case; more when a write-through buffer is full).
     fn store(&mut self, addr: u64, now: u64) -> u64;
+
+    /// `true` once the memory side wants the run to end early. The core
+    /// asks after every [`load`](Self::load) and [`store`](Self::store)
+    /// and, on `true`, returns at once with the statistics gathered so
+    /// far. One-shot fault trials use this to stop as soon as their
+    /// fault's outcome is fixed; every other memory never halts.
+    fn halted(&self) -> bool {
+        false
+    }
 }
 
 /// Instruction-side memory interface (the iL1 and everything below it).

@@ -128,7 +128,9 @@ impl Pipeline {
     /// Runs the core over `trace` until it is exhausted, against the given
     /// instruction and data memories. Returns the run's statistics.
     ///
-    /// Use `trace.take(n)` to bound the instruction count.
+    /// Use `trace.take(n)` to bound the instruction count. When `dmem`
+    /// reports [`DataMemory::halted`] after an access, the run stops there
+    /// and the statistics cover only the cycles simulated so far.
     pub fn run<I>(
         &mut self,
         trace: I,
@@ -173,7 +175,7 @@ impl Pipeline {
             }
         };
 
-        loop {
+        'run: loop {
             // ---- Writeback: finish execution, resolve branches. ----
             // The scan can only transition entries when some Issued op has
             // reached its completion cycle; `next_done` tracks the
@@ -228,6 +230,9 @@ impl Pipeline {
                             // The dL1 write (and any ICR replication)
                             // happens at retire.
                             let lat = dmem.store(e.inst.mem_addr.expect("store has addr"), cycle);
+                            if dmem.halted() {
+                                break 'run;
+                            }
                             if lat > 1 {
                                 commit_blocked_until = cycle + lat - 1;
                             }
@@ -313,7 +318,12 @@ impl Pipeline {
                             let lat = if load_forwarded {
                                 1
                             } else {
-                                dmem.load(ruu[i].inst.mem_addr.expect("load has addr"), cycle)
+                                let lat =
+                                    dmem.load(ruu[i].inst.mem_addr.expect("load has addr"), cycle);
+                                if dmem.halted() {
+                                    break 'run;
+                                }
+                                lat
                             };
                             ruu[i].load_latency = lat;
                             lat
@@ -456,6 +466,39 @@ mod tests {
         let stats = run_app("gzip", 20_000, &mut PerfectMemory);
         assert_eq!(stats.committed, 20_000);
         assert!(stats.cycles > 0);
+    }
+
+    /// Halts after its `limit`-th access.
+    struct HaltingMemory {
+        accesses: u64,
+        limit: u64,
+    }
+
+    impl DataMemory for HaltingMemory {
+        fn load(&mut self, _addr: u64, _now: u64) -> u64 {
+            self.accesses += 1;
+            1
+        }
+        fn store(&mut self, _addr: u64, _now: u64) -> u64 {
+            self.accesses += 1;
+            1
+        }
+        fn halted(&self) -> bool {
+            self.accesses >= self.limit
+        }
+    }
+
+    #[test]
+    fn halting_memory_stops_the_run_at_that_access() {
+        let mut mem = HaltingMemory {
+            accesses: 0,
+            limit: 100,
+        };
+        let stats = run_app("gzip", 20_000, &mut mem);
+        assert_eq!(mem.accesses, 100, "no access after the halt");
+        assert!(stats.committed < 20_000);
+        let full = run_app("gzip", 20_000, &mut PerfectMemory);
+        assert!(stats.cycles < full.cycles);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! A campaign runs N independent single-event-upset trials for every
 //! (scheme × app) cell: each trial simulates the full machine with the
-//! fault injector capped at one fault, classifies how that fault ended
-//! ([`ErrorOutcome`]) and tallies the outcomes per cell with Wilson 95%
-//! confidence intervals over the survived fraction.
+//! fault injector capped at one fault until that fault's fate is sealed
+//! ([`run_trial`]), classifies how it ended ([`ErrorOutcome`]) and
+//! tallies the outcomes per cell with Wilson 95% confidence intervals
+//! over the survived fraction.
 //!
 //! **Determinism.** Trial `i` of cell `c` draws its injector seed as
 //! `icr_fault::trial_seed(master_seed, c·trials_per_cell + i)` — a pure
@@ -65,15 +66,17 @@
 use crate::checkpoint::{self, ShardCellState, ShardCheckpoint};
 use crate::engine::Engine;
 use crate::exec::Pool;
-use crate::simulator::{FaultConfig, SimConfig};
+use crate::simulator::{run_trial, store_working_set, FaultConfig, SimConfig};
 use crate::stats::{wilson_ci95, wilson_ci95_f};
 use icr_core::{
     DataL1Config, ErrorOutcome, InjectionProposal, OutcomeTally, Scheme, WeightedTally,
 };
 use icr_fault::{conditional_arrival, trial_seed, ErrorModel};
+use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Everything that defines a campaign. The spec is echoed into the JSON
 /// report so a result file is self-describing and replayable.
@@ -302,13 +305,13 @@ pub fn run_campaign_observed(
         }
 
         let outcomes = pool.run(jobs.clone(), |(ci, trial)| {
-            run_trial(
+            trial_outcome(
                 spec,
                 cells[ci].scheme,
                 &cells[ci].app,
                 ci,
                 trial,
-                cells[ci].proposal,
+                cells[ci].proposal.as_ref(),
             )
         });
 
@@ -429,9 +432,10 @@ fn check_conservation(
 }
 
 /// A cell's importance proposal, derived once per cell from a
-/// fault-free profiling run: the site boost and the profiled cycle
-/// count `C` that bounds the forced-arrival draw.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// fault-free profiling run: the site boost, the profiled cycle count
+/// `C` that bounds the forced-arrival draw, and the store working set
+/// the boost applies to.
+#[derive(Debug, Clone, PartialEq)]
 struct CellProposal {
     /// Site boost for strike-worthy lines (the profiled inverse
     /// loss-prone residency fraction, clamped).
@@ -440,6 +444,9 @@ struct CellProposal {
     /// a faulted run is fault-free, so this is the exact arrival
     /// horizon every one-shot trial of the cell faces.
     profile_cycles: u64,
+    /// The workload's store working set
+    /// ([`store_working_set`]), built once and shared by every trial.
+    hot_blocks: Arc<HashSet<u64>>,
 }
 
 /// Seed salt separating the forced-arrival stream from the injector's
@@ -461,26 +468,29 @@ fn cell_proposal(spec: &CampaignSpec, scheme: Scheme, app: &str) -> CellProposal
         .seed(spec.master_seed)
         .build();
     let r = Engine::global().run(&cfg);
+    let trace = icr_trace::store::global().get(app, spec.master_seed, spec.instructions);
     CellProposal {
         boost: InjectionProposal::from_windows(&r.exposure).dirty_boost,
         profile_cycles: r.pipeline.cycles.max(1),
+        hot_blocks: Arc::new(store_working_set(&trace, cfg.dl1.geometry)),
     }
 }
 
 /// One trial: simulate the machine with a single fault — arriving
 /// per-cycle Bernoulli and placed uniformly, or (importance mode)
 /// forced to a conditional arrival draw and tilted toward
-/// strike-worthy sites — and classify the consequence. Returns the
-/// outcome and the trial's likelihood ratio (`1.0` for uniform trials
-/// and undelivered faults). A pure function of `(spec, scheme, app,
-/// cell_index, trial_index, proposal)`.
-fn run_trial(
+/// strike-worthy sites — until its fate is sealed ([`run_trial`]), and
+/// classify the consequence. Returns the outcome and the trial's
+/// likelihood ratio (`1.0` for uniform trials and undelivered faults).
+/// A pure function of `(spec, scheme, app, cell_index, trial_index,
+/// proposal)`.
+fn trial_outcome(
     spec: &CampaignSpec,
     scheme: Scheme,
     app: &str,
     cell_index: usize,
     trial: u64,
-    proposal: Option<CellProposal>,
+    proposal: Option<&CellProposal>,
 ) -> (ErrorOutcome, f64) {
     let global_index = cell_index as u64 * spec.trials_per_cell + trial;
     let fault_seed = trial_seed(spec.master_seed, global_index);
@@ -504,9 +514,8 @@ fn run_trial(
                 arrival_seed,
             ));
     }
-    let r = Engine::global().run(&builder.build());
-    let outcome = ErrorOutcome::classify_single_fault(r.faults_injected, &r.icr);
-    (outcome, r.fault_weight.unwrap_or(1.0))
+    let t = run_trial(&builder.build(), proposal.map(|p| p.hot_blocks.clone()));
+    (t.outcome(), t.fault_weight.unwrap_or(1.0))
 }
 
 impl CampaignReport {
@@ -1133,13 +1142,13 @@ pub fn run_sharded_campaign_observed(
                     .flat_map(|(ci, _)| (start..end).map(move |t| (ci, t)))
                     .collect();
                 let results = pool.run(jobs.clone(), |(ci, trial)| {
-                    run_trial(
+                    trial_outcome(
                         base,
                         cells[ci].scheme,
                         &cells[ci].app,
                         ci,
                         trial,
-                        cells[ci].proposal,
+                        cells[ci].proposal.as_ref(),
                     )
                 });
                 let mut shard_states: Vec<ShardCellState> = cells

@@ -15,11 +15,12 @@
 //! Fault-injected configurations are cached on the same terms: the
 //! injection sequence is a function of the `FaultConfig` seed, which is
 //! part of the cache key, so two equal faulted configs yield equal
-//! results. Campaign trials are constructed with per-trial seeds and so
-//! never repeat, but several figure runners probe the same faulted cell
-//! (the §5.5 storm configurations reappear across figures) and those do
-//! hit. All runs, cached or not, share materialised workload traces
-//! through the [`icr_trace::store`].
+//! results. Several figure runners probe the same faulted cell (the
+//! §5.5 storm configurations reappear across figures) and those do hit.
+//! Campaign trials are constructed with per-trial seeds and never
+//! repeat, so they bypass the engine through
+//! [`run_trial`](crate::run_trial). All runs, cached or not, share
+//! materialised workload traces through the [`icr_trace::store`].
 
 use crate::exec::Pool;
 use crate::simulator::{run_sim, SimConfig, SimResult};
@@ -85,16 +86,17 @@ impl Engine {
     /// Panics on an invalid configuration or unknown application name,
     /// like [`run_sim`].
     pub fn run(&self, config: &SimConfig) -> Arc<SimResult> {
+        let key = Engine::key(config);
         let slot = {
             let mut cache = self.cache.lock().expect("not poisoned");
             let mut counters = self.counters.lock().expect("not poisoned");
-            if let Some(slot) = cache.get(Engine::key(config).as_str()) {
+            if let Some(slot) = cache.get(&key) {
                 counters.run_hits += 1;
                 slot.clone()
             } else {
                 counters.run_misses += 1;
                 let slot = Arc::new(OnceLock::new());
-                cache.insert(Engine::key(config), slot.clone());
+                cache.insert(key, slot.clone());
                 slot
             }
         };

@@ -7,7 +7,9 @@
 //! provides one experiment runner per table/figure of the paper's
 //! evaluation.
 //!
-//! * [`simulator`] — [`SimConfig`] → [`run_sim`] → [`SimResult`];
+//! * [`simulator`] — [`SimConfig`] → [`run_sim`] → [`SimResult`], and
+//!   [`run_trial`] → [`TrialResult`] for one-shot fault trials that stop
+//!   once their outcome is fixed;
 //! * [`engine`] — the memoizing execution engine every runner funnels
 //!   through: each distinct cell executes once per process and is shared
 //!   behind `Arc`s, workload traces are materialised once in the
@@ -77,7 +79,8 @@ pub use exec::{JobProgress, Pool};
 pub use experiment::ExpOptions;
 pub use report::{FigureResult, Series};
 pub use simulator::{
-    run_sim, CheckMode, FaultConfig, ScrubConfig, SimConfig, SimConfigBuilder, SimResult,
+    run_sim, run_trial, store_working_set, CheckMode, FaultConfig, ScrubConfig, SimConfig,
+    SimConfigBuilder, SimResult, TrialResult,
 };
 pub use stats::{wilson_ci95, wilson_ci95_f, Summary};
 pub use vuln::{run_vuln, VulnCell, VulnReport, VulnSpec};

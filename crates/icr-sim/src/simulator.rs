@@ -1,13 +1,19 @@
 //! The assembled machine: out-of-order core + iL1 + ICR dL1 + L2 + memory
-//! + (optional) fault injection, with one entry point: [`run_sim`].
+//! plus optional fault injection. [`run_sim`] runs it to completion, and
+//! [`run_trial`] runs a one-shot fault trial until its outcome is fixed.
 
-use icr_core::{DataL1, DataL1Config, WritePolicy};
+use icr_core::{DataL1, DataL1Config, ErrorOutcome, WritePolicy};
 use icr_cpu::{CpuConfig, DataMemory, InstrMemory, Pipeline, PipelineStats};
 use icr_energy::AccessCounts;
 use icr_fault::{ErrorModel, FaultInjector, InjectedFault};
-use icr_mem::{Addr, CacheStats, HierarchyConfig, InstrCache, MemoryBackend};
+use icr_mem::{
+    Addr, BlockAddr, CacheGeometry, CacheStats, HierarchyConfig, InstrCache, MemoryBackend,
+};
+use icr_trace::{Inst, OpClass};
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Fault-injection settings for a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -344,6 +350,40 @@ impl SimResult {
     }
 }
 
+/// What a one-shot fault trial reports: the three things its outcome
+/// and importance weight are read from. Produced by [`run_trial`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrialResult {
+    /// Faults injected (0 or 1).
+    pub faults_injected: u64,
+    /// dL1 statistics at the point the trial stopped. The error counters
+    /// [`ErrorOutcome::classify_single_fault`] reads equal the full
+    /// run's; the rest cover only the simulated prefix.
+    pub icr: icr_core::IcrStats,
+    /// The fault's likelihood ratio, as [`SimResult::fault_weight`].
+    pub fault_weight: Option<f64>,
+}
+
+impl TrialResult {
+    /// How the trial's fault ended.
+    pub fn outcome(&self) -> ErrorOutcome {
+        ErrorOutcome::classify_single_fault(self.faults_injected, &self.icr)
+    }
+}
+
+/// The aligned blocks `trace` stores to: the store working set an
+/// importance-sampled injector boosts (see [`SimConfig::fault_bias`]).
+/// A pure function of the trace, so a campaign builds it once per cell
+/// and shares it across the cell's trials.
+pub fn store_working_set(trace: &[Inst], geometry: CacheGeometry) -> HashSet<u64> {
+    trace
+        .iter()
+        .filter(|i| i.op == OpClass::Store)
+        .filter_map(|i| i.mem_addr)
+        .map(|a| geometry.block_addr(Addr(a)).raw())
+        .collect()
+}
+
 /// The machine state shared between the pipeline's two memory ports.
 struct Machine {
     dl1: DataL1,
@@ -357,9 +397,105 @@ struct Machine {
     next_scrub: u64,
     /// The lockstep auditor ([`CheckMode::Lockstep`] runs only).
     checker: Option<Box<crate::audit::LockstepChecker>>,
+    /// Stop the run once the delivered fault's outcome is fixed
+    /// ([`run_trial`] of a one-shot configuration).
+    stop_when_sealed: bool,
+    /// Set after the first access at which the struck block is sealed.
+    sealed: bool,
 }
 
 impl Machine {
+    /// The machine `config` describes, before its first cycle. A biased
+    /// injector boosts `hot_blocks`, or the store working set of `trace`
+    /// when none is given.
+    fn new(
+        config: &SimConfig,
+        trace: &[Inst],
+        hot_blocks: Option<Arc<HashSet<u64>>>,
+        stop_when_sealed: bool,
+    ) -> Machine {
+        let mut dl1 = DataL1::new(config.dl1.clone());
+        if let Some(p) = config.vuln_arrival_p {
+            dl1.set_exposure_arrival(icr_core::Arrival::Geometric { p });
+        }
+        let checker = match config.check {
+            CheckMode::Off => None,
+            CheckMode::Lockstep => {
+                assert!(
+                    config.fault.is_none() && config.scrub.is_none(),
+                    "lockstep auditing covers the fault-free semantics: \
+                     disable fault injection and scrubbing"
+                );
+                Some(Box::new(crate::audit::LockstepChecker::new(
+                    &config.dl1,
+                    &config.hierarchy,
+                    &config.app,
+                )))
+            }
+        };
+        Machine {
+            dl1,
+            icache: InstrCache::new(&config.hierarchy),
+            backend: MemoryBackend::new(&config.hierarchy),
+            injector: config.fault.map(|f| {
+                let mut inj = FaultInjector::new(f.model, f.p_per_cycle, f.seed);
+                if let Some(max) = f.max_faults {
+                    inj = inj.with_max_faults(max);
+                    // One-shot trials log their (single) fault for free:
+                    // campaigns and diagnostics read the strike site from
+                    // the result instead of re-deriving it.
+                    inj = inj.with_log();
+                }
+                if let Some(boost) = config.fault_bias {
+                    // The boosted class is loss-prone lines plus the
+                    // workload's store working set — the blocks a clean-line
+                    // strike can launder through once a later store dirties
+                    // them. The set is a pure function of the trace, so the
+                    // uniform (no-bias) RNG stream is untouched.
+                    let stores = hot_blocks
+                        .unwrap_or_else(|| Arc::new(store_working_set(trace, config.dl1.geometry)));
+                    inj = inj.with_site_bias(boost).with_hot_blocks(stores);
+                }
+                if let Some(cycle) = config.fault_arrival {
+                    inj = inj.with_forced_arrival(cycle);
+                }
+                inj
+            }),
+            fault_horizon: 0,
+            scrub: config.scrub,
+            next_scrub: config.scrub.map(|s| s.interval).unwrap_or(0),
+            checker,
+            stop_when_sealed,
+            sealed: false,
+        }
+    }
+
+    /// Builds the machine `config` describes and runs the core over
+    /// `trace`; see [`Machine::new`]. Returns the core's statistics and
+    /// the machine as the run left it.
+    fn run(
+        config: &SimConfig,
+        trace: &[Inst],
+        hot_blocks: Option<Arc<HashSet<u64>>>,
+        stop_when_sealed: bool,
+    ) -> (PipelineStats, Machine) {
+        let machine = Rc::new(RefCell::new(Machine::new(
+            config,
+            trace,
+            hot_blocks,
+            stop_when_sealed,
+        )));
+        let stats = Pipeline::new(config.cpu).run(
+            trace.iter().copied(),
+            &mut ImemPort(machine.clone()),
+            &mut DmemPort(machine.clone()),
+        );
+        let Ok(machine) = Rc::try_unwrap(machine) else {
+            unreachable!("the ports are dropped with the run");
+        };
+        (stats, machine.into_inner())
+    }
+
     /// Brings fault injection up to `now` before an access observes state.
     fn advance_faults(&mut self, now: u64) {
         if let Some(inj) = &mut self.injector {
@@ -377,6 +513,24 @@ impl Machine {
             }
         }
     }
+
+    /// After a dL1 access: once the fault has struck, checks whether its
+    /// block is sealed ([`DataL1::block_sealed`]).
+    fn watch_seal(&mut self) {
+        if !self.stop_when_sealed {
+            return;
+        }
+        let struck = self.injector.as_ref().and_then(|i| i.log().first());
+        if let Some(fault) = struck {
+            self.sealed = self
+                .dl1
+                .block_sealed(BlockAddr(fault.site_block), &self.backend);
+        }
+    }
+
+    fn l1i_stats(&self) -> &CacheStats {
+        self.icache.stats()
+    }
 }
 
 struct DmemPort(Rc<RefCell<Machine>>);
@@ -391,6 +545,7 @@ impl DataMemory for DmemPort {
         if let Some(chk) = &mut m.checker {
             chk.after_load(addr, now, &m.dl1, &m.backend);
         }
+        m.watch_seal();
         lat
     }
 
@@ -402,7 +557,12 @@ impl DataMemory for DmemPort {
         if let Some(chk) = &mut m.checker {
             chk.after_store(addr, now, &m.dl1, &m.backend);
         }
+        m.watch_seal();
         lat
+    }
+
+    fn halted(&self) -> bool {
+        self.0.borrow().sealed
     }
 }
 
@@ -415,88 +575,25 @@ impl InstrMemory for ImemPort {
     }
 }
 
-/// Runs one complete simulation.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration or unknown application name.
-pub fn run_sim(config: &SimConfig) -> SimResult {
+/// The workload trace `config` runs, from the process-wide store.
+fn trace_of(config: &SimConfig) -> Arc<[Inst]> {
     // Make the execution-driven `isa:*` kernels resolvable everywhere a
     // simulation can start; install() is idempotent and cheap.
     icr_isa::install();
     // Traces are pure functions of (app, seed, instructions); the
     // process-wide store materialises each one once and shares it across
     // schemes, figures, trials and worker threads.
-    let trace = icr_trace::store::global().get(&config.app, config.seed, config.instructions);
-    let mut pipeline = Pipeline::new(config.cpu);
+    icr_trace::store::global().get(&config.app, config.seed, config.instructions)
+}
 
-    let mut dl1 = DataL1::new(config.dl1.clone());
-    if let Some(p) = config.vuln_arrival_p {
-        dl1.set_exposure_arrival(icr_core::Arrival::Geometric { p });
-    }
-    let checker = match config.check {
-        CheckMode::Off => None,
-        CheckMode::Lockstep => {
-            assert!(
-                config.fault.is_none() && config.scrub.is_none(),
-                "lockstep auditing covers the fault-free semantics: \
-                 disable fault injection and scrubbing"
-            );
-            Some(Box::new(crate::audit::LockstepChecker::new(
-                &config.dl1,
-                &config.hierarchy,
-                &config.app,
-            )))
-        }
-    };
-    let machine = Rc::new(RefCell::new(Machine {
-        dl1,
-        icache: InstrCache::new(&config.hierarchy),
-        backend: MemoryBackend::new(&config.hierarchy),
-        injector: config.fault.map(|f| {
-            let mut inj = FaultInjector::new(f.model, f.p_per_cycle, f.seed);
-            if let Some(max) = f.max_faults {
-                inj = inj.with_max_faults(max);
-                // One-shot trials log their (single) fault for free:
-                // campaigns and diagnostics read the strike site from
-                // the result instead of re-deriving it.
-                inj = inj.with_log();
-            }
-            if let Some(boost) = config.fault_bias {
-                // The boosted class is loss-prone lines plus the
-                // workload's store working set — the blocks a clean-line
-                // strike can launder through once a later store dirties
-                // them. The set is a pure function of the trace, so the
-                // uniform (no-bias) RNG stream is untouched.
-                let g = config.dl1.geometry;
-                let stores: std::collections::HashSet<u64> = trace
-                    .iter()
-                    .filter(|i| i.op == icr_trace::OpClass::Store)
-                    .filter_map(|i| i.mem_addr)
-                    .map(|a| g.block_addr(Addr(a)).raw())
-                    .collect();
-                inj = inj
-                    .with_site_bias(boost)
-                    .with_hot_blocks(std::sync::Arc::new(stores));
-            }
-            if let Some(cycle) = config.fault_arrival {
-                inj = inj.with_forced_arrival(cycle);
-            }
-            inj
-        }),
-        fault_horizon: 0,
-        scrub: config.scrub,
-        next_scrub: config.scrub.map(|s| s.interval).unwrap_or(0),
-        checker,
-    }));
-
-    let stats = pipeline.run(
-        trace.iter().copied(),
-        &mut ImemPort(machine.clone()),
-        &mut DmemPort(machine.clone()),
-    );
-
-    let m = machine.borrow();
+/// Runs one complete simulation.
+///
+/// # Panics
+///
+/// Panics on an invalid configuration or unknown application name.
+pub fn run_sim(config: &SimConfig) -> SimResult {
+    let trace = trace_of(config);
+    let (stats, m) = Machine::run(config, &trace, None, false);
     let icr = *m.dl1.stats();
     let l2 = *m.backend.l2_stats();
     let l1i = *m.l1i_stats();
@@ -536,10 +633,7 @@ pub fn run_sim(config: &SimConfig) -> SimResult {
         energy_counts,
         avg_vulnerable_words: exposure.avg_words_in(icr_core::ProtState::DirtyParity),
         exposure,
-        fault_weight: match (config.fault_bias, m.injector.as_ref()) {
-            (Some(_), Some(inj)) => Some(inj.last_weight()),
-            _ => None,
-        },
+        fault_weight: fault_weight(config, &m),
         fault_log: m
             .injector
             .as_ref()
@@ -548,9 +642,37 @@ pub fn run_sim(config: &SimConfig) -> SimResult {
     }
 }
 
-impl Machine {
-    fn l1i_stats(&self) -> &CacheStats {
-        self.icache.stats()
+/// Runs one fault trial, stopping as early as its outcome allows.
+///
+/// A one-shot configuration (`fault.max_faults == Some(1)`) stops at
+/// the first dL1 access after the fault has struck at which the struck
+/// block is sealed ([`DataL1::block_sealed`]): from there on no counter
+/// the outcome is read from can change, so [`TrialResult::outcome`] and
+/// the weight equal what the full [`run_sim`] reports. Any other
+/// configuration runs to completion. Trials bypass the
+/// [`Engine`](crate::Engine) memo, since their configurations never
+/// repeat. A biased injector boosts `hot_blocks` when given (build it
+/// once with [`store_working_set`]), else the trace's store working set.
+///
+/// # Panics
+///
+/// Panics on an invalid configuration or unknown application name.
+pub fn run_trial(config: &SimConfig, hot_blocks: Option<Arc<HashSet<u64>>>) -> TrialResult {
+    let trace = trace_of(config);
+    let one_shot = config.fault.is_some_and(|f| f.max_faults == Some(1));
+    let (_, m) = Machine::run(config, &trace, hot_blocks, one_shot);
+    TrialResult {
+        faults_injected: m.injector.as_ref().map(|i| i.injected()).unwrap_or(0),
+        icr: *m.dl1.stats(),
+        fault_weight: fault_weight(config, &m),
+    }
+}
+
+/// The likelihood ratio of a biased run's fault (`None` when unbiased).
+fn fault_weight(config: &SimConfig, m: &Machine) -> Option<f64> {
+    match (config.fault_bias, m.injector.as_ref()) {
+        (Some(_), Some(inj)) => Some(inj.last_weight()),
+        _ => None,
     }
 }
 

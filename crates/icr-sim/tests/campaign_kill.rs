@@ -4,21 +4,24 @@
 //! byte-identical to an uninterrupted run. Also proves the corruption
 //! quarantine and the SIGINT graceful drain through the CLI.
 //!
-//! The randomized kill offsets derive from the wall clock and are
-//! printed on every run, so a failing schedule is reproducible from
-//! the test log; determinism of the *results* is exactly what the
-//! harness is proving, so varying the schedule between runs is a
-//! feature — every CI run probes a different crash point.
+//! Kills are timed by observed progress, not by the clock: a run is
+//! killed once it has written a randomized number of new shard
+//! checkpoints, so the kill lands mid-run however fast trials are. The
+//! randomized counts derive from the wall clock and are printed on
+//! every run, so a failing schedule is reproducible from the test log;
+//! determinism of the *results* is exactly what the harness is proving,
+//! so varying the schedule between runs is a feature — every CI run
+//! probes a different crash point.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Child, Command};
 use std::time::{Duration, SystemTime};
 
 const BIN: &str = env!("CARGO_BIN_EXE_icr-campaign");
 
-/// The campaign every test in this file runs: big enough that a kill a
-/// few hundred milliseconds in lands mid-run (debug builds execute
-/// ~200 trials/s), small enough to finish in seconds.
+/// The campaign every test in this file runs: 40 shards, so a kill
+/// after a few checkpoints lands mid-run, small enough to finish in
+/// seconds.
 fn campaign_args(dir: &Path, json: &Path, extra: &[&str]) -> Vec<String> {
     let mut args: Vec<String> = [
         "--schemes",
@@ -67,6 +70,25 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Shard checkpoints completed in `dir` so far.
+fn checkpoints(dir: &Path) -> usize {
+    icr_sim::checkpoint::scan_dir(dir).map_or(0, |found| found.len())
+}
+
+/// Waits until `dir` holds at least `count` shard checkpoints. Returns
+/// `false` instead if `child` exits first.
+fn wait_for_checkpoints(child: &mut Child, dir: &Path, count: usize) -> bool {
+    loop {
+        if child.try_wait().expect("poll child").is_some() {
+            return false;
+        }
+        if checkpoints(dir) >= count {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn run_to_completion(dir: &Path, json: &Path, resume: bool) {
     let extra: &[&str] = if resume { &["--resume"] } else { &[] };
     let status = Command::new(BIN)
@@ -91,37 +113,31 @@ fn sigkill_at_randomized_points_then_resume_is_byte_identical() {
     let kill_json = kill_dir.join("out.json");
     let mut rng = entropy();
     let mut kills = 0;
-    // Kill/resume cycles at randomized offsets until one run survives
-    // to completion (each resume restarts further along, so this
-    // terminates; the offset cap keeps every kill plausibly mid-run).
+    // Kill/resume cycles, each killed after 1–3 new checkpoints, until
+    // one run survives to completion (each resume restarts further
+    // along, so this terminates).
     for cycle in 0.. {
-        let delay_ms = 30 + splitmix(&mut rng) % 500;
+        let target = checkpoints(&kill_dir) + 1 + (splitmix(&mut rng) % 3) as usize;
         let mut child = Command::new(BIN)
             .args(campaign_args(&kill_dir, &kill_json, &["--resume"]))
             .spawn()
             .expect("spawn icr-campaign");
-        std::thread::sleep(Duration::from_millis(delay_ms));
-        match child.try_wait().expect("poll child") {
-            Some(status) => {
-                // Outran the killer: the campaign finished on its own.
-                assert!(status.success(), "campaign failed: {status}");
-                println!("cycle {cycle}: completed before the {delay_ms}ms kill");
-                break;
-            }
-            None => {
-                child.kill().expect("SIGKILL");
-                child.wait().expect("reap");
-                kills += 1;
-                println!("cycle {cycle}: SIGKILLed after {delay_ms}ms");
-            }
+        let running = wait_for_checkpoints(&mut child, &kill_dir, target);
+        if running {
+            child.kill().expect("SIGKILL");
         }
+        let status = child.wait().expect("reap");
+        if status.success() {
+            // Outran the killer: the campaign finished on its own.
+            println!("cycle {cycle}: completed before checkpoint {target}");
+            break;
+        }
+        assert!(running, "campaign failed: {status}");
+        kills += 1;
+        println!("cycle {cycle}: SIGKILLed at checkpoint {target}");
         assert!(cycle < 200, "campaign never completed across 200 cycles");
     }
-    if !kill_json.exists() {
-        // Every cycle was killed before the final write; one clean
-        // resume finishes from the surviving checkpoints.
-        run_to_completion(&kill_dir, &kill_json, true);
-    }
+    assert!(kills >= 1, "no SIGKILL landed mid-run");
     println!("survived {kills} SIGKILLs");
 
     let resumed = std::fs::read(&kill_json).unwrap();
@@ -192,8 +208,8 @@ fn sigint_drains_gracefully_and_marks_partial_results() {
 
     let dir = scratch("sigint");
     let json = dir.join("out.json");
-    // A long campaign (~10x the kill-test budget) so SIGINT lands well
-    // before completion even on a fast machine.
+    // A long campaign (100 shards) so SIGINT, sent once the first
+    // checkpoint is on disk, lands well before completion.
     let long_args = |resume: bool| {
         let mut a: Vec<String> = [
             "--schemes",
@@ -224,7 +240,10 @@ fn sigint_drains_gracefully_and_marks_partial_results() {
         .args(long_args(false))
         .spawn()
         .expect("spawn icr-campaign");
-    std::thread::sleep(Duration::from_millis(400));
+    assert!(
+        wait_for_checkpoints(&mut child, &dir, 1),
+        "the campaign finished before its first checkpoint was seen"
+    );
     let rc = unsafe { kill(child.id() as i32, SIGINT) };
     assert_eq!(rc, 0, "sending SIGINT failed");
     let status = child.wait().expect("reap");
