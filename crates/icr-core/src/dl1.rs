@@ -293,9 +293,7 @@ impl LineArrays {
             last_access: vec![0; slots],
             prot: vec![Protection::Parity; slots],
             words: vec![ProtectedWord::default(); slots * g.words_per_block()],
-            lru: (0..g.num_sets())
-                .map(|_| LruQueue::new(g.associativity()))
-                .collect(),
+            lru: vec![LruQueue::new(g.associativity()); g.num_sets()],
         }
     }
 
@@ -810,7 +808,7 @@ impl DataL1 {
     /// # Panics
     ///
     /// Panics if `set` is out of range.
-    pub fn lru_order(&self, set: usize) -> &[usize] {
+    pub fn lru_order(&self, set: usize) -> Vec<usize> {
         self.lines.lru[set].mru_to_lru()
     }
 

@@ -75,13 +75,19 @@ impl CacheGeometry {
     /// # Panics
     ///
     /// Panics unless `size_bytes`, `associativity` and `block_bytes` are
-    /// powers of two, `block_bytes >= 8`, and the cache holds at least one
-    /// set (`size_bytes >= associativity * block_bytes`).
+    /// powers of two, `block_bytes >= 8`, `associativity` is at most
+    /// [`MAX_WAYS`](crate::lru::MAX_WAYS), and the cache holds at least
+    /// one set (`size_bytes >= associativity * block_bytes`).
     pub fn new(size_bytes: usize, associativity: usize, block_bytes: usize) -> Self {
         assert!(size_bytes.is_power_of_two(), "size must be a power of two");
         assert!(
             associativity.is_power_of_two(),
             "associativity must be a power of two"
+        );
+        assert!(
+            associativity <= crate::lru::MAX_WAYS,
+            "associativity must be at most {}",
+            crate::lru::MAX_WAYS
         );
         assert!(
             block_bytes.is_power_of_two() && block_bytes >= 8,
@@ -238,6 +244,12 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_size_panics() {
         CacheGeometry::new(1000, 4, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16")]
+    fn too_many_ways_panics() {
+        CacheGeometry::new(64 * 1024, 32, 64);
     }
 
     #[test]

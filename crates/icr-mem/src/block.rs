@@ -12,6 +12,10 @@ pub struct DataBlock {
 }
 
 impl DataBlock {
+    /// A block of no words, owning no heap storage: the placeholder an
+    /// invalid cache line holds.
+    pub(crate) const EMPTY: DataBlock = DataBlock { words: Vec::new() };
+
     /// A block of `words_per_block` zero words.
     pub fn zeroed(words_per_block: usize) -> Self {
         DataBlock {

@@ -28,6 +28,8 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
+/// One way of one set. Invalid lines hold an empty [`DataBlock`], which
+/// owns no heap storage: a cold cache allocates nothing per line.
 #[derive(Debug, Clone)]
 struct Line {
     valid: bool,
@@ -36,10 +38,13 @@ struct Line {
     data: DataBlock,
 }
 
-#[derive(Debug, Clone)]
-struct Set {
-    lines: Vec<Line>,
-    lru: LruQueue,
+impl Line {
+    const INVALID: Line = Line {
+        valid: false,
+        dirty: false,
+        tag: 0,
+        data: DataBlock::EMPTY,
+    };
 }
 
 /// Set-associative write-back cache storing real block data.
@@ -57,32 +62,23 @@ struct Set {
 pub struct Cache {
     geometry: CacheGeometry,
     hit_latency: u64,
-    sets: Vec<Set>,
+    /// Every line, slot-indexed: way `w` of set `s` is `lines[s * ways + w]`.
+    lines: Vec<Line>,
+    /// Recency order per set.
+    lru: Vec<LruQueue>,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Creates an empty cache with the given shape and hit latency.
     pub fn new(geometry: CacheGeometry, hit_latency: u64) -> Self {
+        let sets = geometry.num_sets();
         let ways = geometry.associativity();
-        let words = geometry.words_per_block();
-        let sets = (0..geometry.num_sets())
-            .map(|_| Set {
-                lines: (0..ways)
-                    .map(|_| Line {
-                        valid: false,
-                        dirty: false,
-                        tag: 0,
-                        data: DataBlock::zeroed(words),
-                    })
-                    .collect(),
-                lru: LruQueue::new(ways),
-            })
-            .collect();
         Cache {
             geometry,
             hit_latency,
-            sets,
+            lines: vec![Line::INVALID; sets * ways],
+            lru: vec![LruQueue::new(ways); sets],
             stats: CacheStats::default(),
         }
     }
@@ -102,19 +98,31 @@ impl Cache {
         &self.stats
     }
 
-    fn set_of(&self, addr: BlockAddr) -> SetIndex {
-        self.geometry.set_index(addr)
+    /// The lines of set `set`, way-indexed.
+    fn set_lines(&self, set: usize) -> &[Line] {
+        let ways = self.geometry.associativity();
+        &self.lines[set * ways..(set + 1) * ways]
     }
 
-    fn find_way(&self, addr: BlockAddr) -> Option<usize> {
+    /// `(set, way)` of the resident block, if any.
+    fn find(&self, addr: BlockAddr) -> Option<(usize, usize)> {
         let tag = self.geometry.tag(addr);
-        let set = &self.sets[self.set_of(addr).0];
-        set.lines.iter().position(|l| l.valid && l.tag == tag)
+        let set = self.geometry.set_index(addr).0;
+        let way = self
+            .set_lines(set)
+            .iter()
+            .position(|l| l.valid && l.tag == tag)?;
+        Some((set, way))
+    }
+
+    /// The line at `(set, way)`.
+    fn line_mut(&mut self, set: usize, way: usize) -> &mut Line {
+        &mut self.lines[set * self.geometry.associativity() + way]
     }
 
     /// `true` when the block is resident (no state change, no stats).
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.find_way(addr).is_some()
+        self.find(addr).is_some()
     }
 
     /// Records a read hit on a line the caller *knows* is resident and
@@ -130,7 +138,7 @@ impl Cache {
     /// Looks the block up, updating LRU and stats. Returns `true` on hit.
     /// On a write hit, the line is marked dirty.
     pub fn lookup(&mut self, addr: BlockAddr, kind: AccessKind) -> bool {
-        let hit = self.find_way(addr);
+        let hit = self.find(addr);
         match kind {
             AccessKind::Read => {
                 self.stats.read_accesses += 1;
@@ -145,50 +153,44 @@ impl Cache {
                 }
             }
         }
-        if let Some(way) = hit {
-            let set_idx = self.set_of(addr).0;
-            let set = &mut self.sets[set_idx];
-            set.lru.touch(way);
-            if kind == AccessKind::Write {
-                set.lines[way].dirty = true;
-            }
-            true
-        } else {
-            false
+        let Some((set, way)) = hit else {
+            return false;
+        };
+        self.lru[set].touch(way);
+        if kind == AccessKind::Write {
+            self.line_mut(set, way).dirty = true;
         }
+        true
     }
 
     /// Reads a word of a resident block, updating LRU.
     ///
     /// Returns `None` when the block is not resident.
     pub fn read_word(&mut self, addr: BlockAddr, word: usize) -> Option<u64> {
-        let way = self.find_way(addr)?;
-        let set_idx = self.set_of(addr).0;
-        let set = &mut self.sets[set_idx];
-        set.lru.touch(way);
-        Some(set.lines[way].data.word(word))
+        let (set, way) = self.find(addr)?;
+        self.lru[set].touch(way);
+        Some(self.line_mut(set, way).data.word(word))
     }
 
     /// Writes a word of a resident block, marking it dirty.
     ///
     /// Returns `false` when the block is not resident.
     pub fn write_word(&mut self, addr: BlockAddr, word: usize, value: u64) -> bool {
-        let Some(way) = self.find_way(addr) else {
+        let Some((set, way)) = self.find(addr) else {
             return false;
         };
-        let set_idx = self.set_of(addr).0;
-        let set = &mut self.sets[set_idx];
-        set.lru.touch(way);
-        set.lines[way].data.set_word(word, value);
-        set.lines[way].dirty = true;
+        self.lru[set].touch(way);
+        let line = self.line_mut(set, way);
+        line.data.set_word(word, value);
+        line.dirty = true;
         true
     }
 
     /// Reads a whole resident block without disturbing LRU (used when an
     /// upper level refetches after an error).
     pub fn peek_block(&self, addr: BlockAddr) -> Option<&DataBlock> {
-        let way = self.find_way(addr)?;
-        Some(&self.sets[self.set_of(addr).0].lines[way].data)
+        let (set, way) = self.find(addr)?;
+        Some(&self.set_lines(set)[way].data)
     }
 
     /// Overwrites a resident block's data in place, marking it dirty
@@ -196,14 +198,13 @@ impl Cache {
     ///
     /// Returns `false` when the block is not resident.
     pub fn update_block(&mut self, addr: BlockAddr, data: DataBlock) -> bool {
-        let Some(way) = self.find_way(addr) else {
+        let Some((set, way)) = self.find(addr) else {
             return false;
         };
-        let set_idx = self.set_of(addr).0;
-        let set = &mut self.sets[set_idx];
-        set.lru.touch(way);
-        set.lines[way].data = data;
-        set.lines[way].dirty = true;
+        self.lru[set].touch(way);
+        let line = self.line_mut(set, way);
+        line.data = data;
+        line.dirty = true;
         true
     }
 
@@ -217,68 +218,58 @@ impl Cache {
     /// Panics if the block is already resident (fill implies a prior miss).
     pub fn fill(&mut self, addr: BlockAddr, data: DataBlock, dirty: bool) -> Option<Evicted> {
         assert!(
-            self.find_way(addr).is_none(),
+            self.find(addr).is_none(),
             "fill of already-resident block {addr}"
         );
         self.stats.fills += 1;
         let tag = self.geometry.tag(addr);
-        let set_idx = self.set_of(addr).0;
-        let geometry = self.geometry;
-        let set = &mut self.sets[set_idx];
+        let set = self.geometry.set_index(addr).0;
 
         // Prefer an invalid way; otherwise evict LRU.
-        let way = match set.lines.iter().position(|l| !l.valid) {
+        let way = match self.set_lines(set).iter().position(|l| !l.valid) {
             Some(w) => w,
-            None => set.lru.victim(),
+            None => self.lru[set].victim(),
         };
-        let line = &mut set.lines[way];
-        let evicted = if line.valid {
-            self.stats.evictions += 1;
-            if line.dirty {
-                self.stats.writebacks += 1;
-            }
-            Some(Evicted {
-                addr: geometry.block_addr_from_parts(line.tag, SetIndex(set_idx)),
-                data: std::mem::replace(&mut line.data, DataBlock::zeroed(0)),
-                dirty: line.dirty,
-            })
-        } else {
-            None
-        };
-        *line = Line {
-            valid: true,
-            dirty,
-            tag,
-            data,
-        };
-        set.lru.touch(way);
-        evicted
+        self.lru[set].touch(way);
+        let geometry = self.geometry;
+        let old = std::mem::replace(
+            self.line_mut(set, way),
+            Line {
+                valid: true,
+                dirty,
+                tag,
+                data,
+            },
+        );
+        if !old.valid {
+            return None;
+        }
+        self.stats.evictions += 1;
+        if old.dirty {
+            self.stats.writebacks += 1;
+        }
+        Some(Evicted {
+            addr: geometry.block_addr_from_parts(old.tag, SetIndex(set)),
+            data: old.data,
+            dirty: old.dirty,
+        })
     }
 
     /// Invalidates a block if resident, returning it (for flush modelling).
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Evicted> {
-        let way = self.find_way(addr)?;
-        let set_idx = self.set_of(addr).0;
+        let (set, way) = self.find(addr)?;
         let geometry = self.geometry;
-        let set = &mut self.sets[set_idx];
-        let line = &mut set.lines[way];
-        line.valid = false;
+        let old = std::mem::replace(self.line_mut(set, way), Line::INVALID);
         Some(Evicted {
-            addr: geometry.block_addr_from_parts(line.tag, SetIndex(set_idx)),
-            data: std::mem::replace(
-                &mut line.data,
-                DataBlock::zeroed(geometry.words_per_block()),
-            ),
-            dirty: std::mem::take(&mut line.dirty),
+            addr: geometry.block_addr_from_parts(old.tag, SetIndex(set)),
+            data: old.data,
+            dirty: old.dirty,
         })
     }
 
     /// Number of valid blocks currently resident.
     pub fn resident_blocks(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.lines.iter().filter(|l| l.valid).count())
-            .sum()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 }
 

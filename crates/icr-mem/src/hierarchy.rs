@@ -436,29 +436,39 @@ impl InstrCache {
     /// (32B vs 64B); the fill requests the L2-sized block and installs the
     /// 32B half containing `pc`.
     pub fn fetch(&mut self, pc: Addr, backend: &mut MemoryBackend) -> u64 {
+        self.fetch_traced(pc, backend).0
+    }
+
+    /// [`fetch`](Self::fetch), also reporting what the fetch did below
+    /// the iL1: on a miss, the L2 block it read and the latency
+    /// [`MemoryBackend::read_block`] returned for it. Hits never reach
+    /// the backend and report `None`.
+    pub fn fetch_traced(
+        &mut self,
+        pc: Addr,
+        backend: &mut MemoryBackend,
+    ) -> (u64, Option<(BlockAddr, u64)>) {
         let g = self.cache.geometry();
         let block = g.block_addr(pc);
         if self.last_block == Some(block) {
             self.cache.count_mru_read_hit();
-            return self.cache.hit_latency();
+            return (self.cache.hit_latency(), None);
         }
         self.last_block = Some(block);
         if self.cache.lookup(block, AccessKind::Read) {
-            self.cache.hit_latency()
-        } else {
-            let l2_block = backend.read_block(BlockAddr(
-                pc.raw() & !(backend.l2.geometry().block_bytes() as u64 - 1),
-            ));
-            // Extract this cache's block-worth of words from the L2 block.
-            let words = g.words_per_block();
-            let offset_words =
-                ((block.raw() as usize) & (backend.l2.geometry().block_bytes() - 1)) / 8;
-            let slice: Vec<u64> = (0..words)
-                .map(|i| l2_block.0.word(offset_words + i))
-                .collect();
-            self.cache.fill(block, DataBlock::from_words(slice), false);
-            self.cache.hit_latency() + l2_block.1
+            return (self.cache.hit_latency(), None);
         }
+        let l2_block = BlockAddr(pc.raw() & !(backend.l2.geometry().block_bytes() as u64 - 1));
+        let (data, l2_latency) = backend.read_block(l2_block);
+        // Extract this cache's block-worth of words from the L2 block.
+        let words = g.words_per_block();
+        let offset_words = ((block.raw() as usize) & (backend.l2.geometry().block_bytes() - 1)) / 8;
+        let slice: Vec<u64> = (0..words).map(|i| data.word(offset_words + i)).collect();
+        self.cache.fill(block, DataBlock::from_words(slice), false);
+        (
+            self.cache.hit_latency() + l2_latency,
+            Some((l2_block, l2_latency)),
+        )
     }
 
     /// L1I statistics.

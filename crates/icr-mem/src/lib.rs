@@ -37,7 +37,7 @@ pub use hierarchy::{
     HierarchyConfig, HierarchyConfigBuilder, InstrCache, L2ReplicaRegion, MemoryBackend,
     RegionInsert,
 };
-pub use lru::LruQueue;
+pub use lru::{LruQueue, MAX_WAYS};
 pub use memory::{MainMemory, RowBufferConfig};
 pub use stats::CacheStats;
 pub use write_buffer::WriteBuffer;

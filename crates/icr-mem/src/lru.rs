@@ -5,11 +5,16 @@
 //! replicas" — so [`LruQueue::victim_among`] selects the LRU way from an
 //! eligibility mask.
 
+/// The most ways a set may have: [`LruQueue`] keeps its order inline in
+/// an array this long, so a cache's recency state needs no allocation
+/// per set.
+pub const MAX_WAYS: usize = 16;
+
 /// Recency tracking for the ways of a single set.
 ///
 /// Ways are ordered from most- to least-recently used; `touch` moves a way
 /// to the MRU end. For the small associativities of real L1/L2 caches
-/// (≤ 16) a vector beats any linked structure.
+/// (≤ [`MAX_WAYS`]) an inline array beats any linked or heap structure.
 ///
 /// ```
 /// use icr_mem::LruQueue;
@@ -20,10 +25,11 @@
 /// q.touch(0);
 /// assert_eq!(q.victim(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LruQueue {
-    /// Way indices, most-recently-used first.
-    order: Vec<usize>,
+    /// Way indices, most-recently-used first; only `..len` is meaningful.
+    order: [u8; MAX_WAYS],
+    len: u8,
 }
 
 impl LruQueue {
@@ -33,17 +39,34 @@ impl LruQueue {
     ///
     /// # Panics
     ///
-    /// Panics if `ways == 0`.
+    /// Panics if `ways == 0` or `ways > MAX_WAYS`.
     pub fn new(ways: usize) -> Self {
         assert!(ways > 0, "a set must have at least one way");
+        assert!(ways <= MAX_WAYS, "a set may have at most {MAX_WAYS} ways");
+        let mut order = [0u8; MAX_WAYS];
+        for (w, slot) in order.iter_mut().enumerate() {
+            *slot = w as u8;
+        }
         LruQueue {
-            order: (0..ways).collect(),
+            order,
+            len: ways as u8,
         }
     }
 
     /// Number of ways tracked.
     pub fn ways(&self) -> usize {
-        self.order.len()
+        self.len as usize
+    }
+
+    fn order(&self) -> &[u8] {
+        &self.order[..self.len as usize]
+    }
+
+    fn position(&self, way: usize) -> usize {
+        self.order()
+            .iter()
+            .position(|&w| w as usize == way)
+            .expect("way out of range")
     }
 
     /// Marks `way` as most-recently used.
@@ -52,13 +75,9 @@ impl LruQueue {
     ///
     /// Panics if `way` is out of range.
     pub fn touch(&mut self, way: usize) {
-        let pos = self
-            .order
-            .iter()
-            .position(|&w| w == way)
-            .expect("way out of range");
-        let w = self.order.remove(pos);
-        self.order.insert(0, w);
+        let pos = self.position(way);
+        self.order.copy_within(0..pos, 1);
+        self.order[0] = way as u8;
     }
 
     /// Marks `way` as *least*-recently used — used when a block is demoted
@@ -68,18 +87,15 @@ impl LruQueue {
     ///
     /// Panics if `way` is out of range.
     pub fn demote(&mut self, way: usize) {
-        let pos = self
-            .order
-            .iter()
-            .position(|&w| w == way)
-            .expect("way out of range");
-        let w = self.order.remove(pos);
-        self.order.push(w);
+        let pos = self.position(way);
+        let last = self.len as usize - 1;
+        self.order.copy_within(pos + 1..=last, pos);
+        self.order[last] = way as u8;
     }
 
     /// The globally least-recently-used way.
     pub fn victim(&self) -> usize {
-        *self.order.last().expect("non-empty by construction")
+        self.order[self.len as usize - 1] as usize
     }
 
     /// The least-recently-used way among those where `eligible[way]` is
@@ -89,13 +105,17 @@ impl LruQueue {
     ///
     /// Panics if `eligible.len()` differs from the number of ways.
     pub fn victim_among(&self, eligible: &[bool]) -> Option<usize> {
-        assert_eq!(eligible.len(), self.order.len(), "mask length mismatch");
-        self.order.iter().rev().copied().find(|&w| eligible[w])
+        assert_eq!(eligible.len(), self.ways(), "mask length mismatch");
+        self.order()
+            .iter()
+            .rev()
+            .map(|&w| w as usize)
+            .find(|&w| eligible[w])
     }
 
     /// Ways from most- to least-recently used (for inspection/tests).
-    pub fn mru_to_lru(&self) -> &[usize] {
-        &self.order
+    pub fn mru_to_lru(&self) -> Vec<usize> {
+        self.order().iter().map(|&w| w as usize).collect()
     }
 }
 
@@ -151,6 +171,12 @@ mod tests {
     #[should_panic(expected = "at least one way")]
     fn zero_ways_panics() {
         LruQueue::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn too_many_ways_panics() {
+        LruQueue::new(MAX_WAYS + 1);
     }
 
     #[test]

@@ -149,9 +149,7 @@ fn export_write_buffer(dl1: &DataL1) -> Option<RealWriteBuffer> {
 pub fn export_real_state(dl1: &DataL1, backend: &MemoryBackend, now: u64) -> RealState {
     let lines = dl1.export_lines(now).iter().map(to_real_line).collect();
     let g = dl1.geometry();
-    let recency = (0..g.num_sets())
-        .map(|s| dl1.lru_order(s).to_vec())
-        .collect();
+    let recency = (0..g.num_sets()).map(|s| dl1.lru_order(s)).collect();
     RealState {
         lines,
         recency,
@@ -179,7 +177,7 @@ pub fn export_real_sets(
             RealSetExport {
                 set: s,
                 lines: scratch.iter().map(to_real_line).collect(),
-                recency: dl1.lru_order(s).to_vec(),
+                recency: dl1.lru_order(s),
             }
         })
         .collect();

@@ -55,6 +55,7 @@
 //! with `"complete": false` so partial results are explicit. Invalid
 //! command-line input exits with code 2 and a diagnostic; runtime
 //! failures (e.g. an unwritable checkpoint directory) exit with 1.
+//! `--help` or `-h` prints the usage and exits 0.
 
 use icr_core::Scheme;
 use icr_fault::ErrorModel;
@@ -78,24 +79,26 @@ fn parse_model(name: &str) -> Option<ErrorModel> {
     })
 }
 
-/// Prints a diagnostic plus the usage text and returns the
-/// invalid-invocation exit code (2, in the `getopt` tradition —
-/// distinct from runtime failures, which exit 1).
-fn fail_usage(diagnostic: &str) -> ExitCode {
-    eprintln!("error: {diagnostic}");
-    eprintln!(
-        "usage: icr-campaign [--schemes a,b,c] [--apps a,b,c] [--trials N]\n\
+/// The usage text, printed by `--help`/`-h` and after every
+/// invalid-invocation diagnostic.
+const USAGE: &str = "usage: icr-campaign [--schemes a,b,c] [--apps a,b,c] [--trials N]\n\
          \x20                   [--batch N] [--seed S] [--insts N] [--model M]\n\
          \x20                   [--fault P] [--ci-width W] [--threads N]\n\
          \x20                   [--no-oracle] [--importance] [--checkpoint DIR]\n\
          \x20                   [--resume] [--shard-size N] [--worker I/N]\n\
          \x20                   [--json PATH] [--quiet]\n\
          \x20      icr-campaign merge [spec options] DIR...\n\
-         schemes: basep baseecc baseecc-spec icr-{{p,ecc}}-{{ps,pp}}[-l2]-{{s,ls}}\n\
+         schemes: basep baseecc baseecc-spec icr-{p,ecc}-{ps,pp}[-l2]-{s,ls}\n\
          models:  direct adjacent column random\n\
          apps:    gzip vpr gcc mcf parser mesa vortex art (+ bzip2 twolf crafty gap,\n\
-         \x20     execution-driven isa:{{bubble,qsort,matmul,chase,strsearch,lz,checksum}})"
-    );
+         \x20     execution-driven isa:{bubble,qsort,matmul,chase,strsearch,lz,checksum})";
+
+/// Prints a diagnostic plus the usage text and returns the
+/// invalid-invocation exit code (2, in the `getopt` tradition —
+/// distinct from runtime failures, which exit 1).
+fn fail_usage(diagnostic: &str) -> ExitCode {
+    eprintln!("error: {diagnostic}");
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
@@ -124,6 +127,10 @@ fn install_sigint_flag() -> &'static AtomicBool {
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
 
     // `icr-campaign merge [spec options] DIR...` — same spec vocabulary,
     // positional checkpoint directories, restore-only.

@@ -30,7 +30,8 @@
 //! each distinct configuration exactly once even though many figures
 //! name the same cells; `--stats` prints the cache counters to stderr
 //! afterwards. Invalid command-line input exits with code 2 and a
-//! diagnostic — the same contract as `icr-run` and `icr-campaign`.
+//! diagnostic, and `--help` or `-h` prints the usage and exits 0 — the
+//! same contract as `icr-run` and `icr-campaign`.
 
 use icr_core::Scheme;
 use icr_sim::audit::{run_audit, AuditSpec};
@@ -40,18 +41,20 @@ use icr_sim::json::write_output;
 use icr_sim::vuln::{run_vuln, VulnSpec};
 use std::process::ExitCode;
 
+/// The usage text, printed by `--help`/`-h` and after every
+/// invalid-invocation diagnostic.
+const USAGE: &str = "usage: icr-exp <experiment> [--insts N] [--seed S] [--threads T] [--json PATH] [--scheme NAME[,NAME…]] [--spark] [--stats]\n\
+         \x20      --json PATH    write JSON to PATH ('-' = stdout)\n\
+         \x20      --scheme NAMES restrict audit/isa-audit/vuln to these schemes\n\
+         experiments: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9\n\
+         \x20            fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 sens victim models hints dupcache stability scrub window dram exposure vuln audit sdc isa isa-audit spill all";
+
 /// Prints a diagnostic plus the usage text and returns the
 /// invalid-invocation exit code (2, in the `getopt` tradition —
 /// distinct from runtime failures, which exit 1).
 fn fail_usage(diagnostic: &str) -> ExitCode {
     eprintln!("error: {diagnostic}");
-    eprintln!(
-        "usage: icr-exp <experiment> [--insts N] [--seed S] [--threads T] [--json PATH] [--scheme NAME[,NAME…]] [--spark] [--stats]\n\
-         \x20      --json PATH    write JSON to PATH ('-' = stdout)\n\
-         \x20      --scheme NAMES restrict audit/isa-audit/vuln to these schemes\n\
-         experiments: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9\n\
-         \x20            fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 sens victim models hints dupcache stability scrub window dram exposure vuln audit sdc isa isa-audit spill all"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
@@ -67,6 +70,10 @@ fn audit_schemes() -> Vec<Scheme> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let Some(which) = args.first() else {
         return fail_usage("expected an experiment name");
     };

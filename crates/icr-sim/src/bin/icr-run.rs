@@ -27,8 +27,9 @@
 //! ```
 //!
 //! Invalid command-line input exits with code 2 and a diagnostic;
-//! runtime failures (e.g. an unreadable trace file) exit with 1 — the
-//! same contract as `icr-campaign` and `icr-exp`.
+//! runtime failures (e.g. an unreadable trace file) exit with 1;
+//! `--help` or `-h` prints the usage and exits 0 — the same contract as
+//! `icr-campaign` and `icr-exp`.
 
 use icr_core::{DataL1Config, DecayConfig, Scheme, VictimPolicy, WritePolicy};
 use icr_fault::ErrorModel;
@@ -46,25 +47,31 @@ fn parse_victim(name: &str) -> Option<VictimPolicy> {
     })
 }
 
+/// The usage text, printed by `--help`/`-h` and after every
+/// invalid-invocation diagnostic.
+const USAGE: &str = "usage: icr-run <app> <scheme> [--insts N] [--seed S] [--window W]\n\
+         \x20                [--victim P] [--keep] [--write-through N]\n\
+         \x20                [--fault P] [--scrub I] [--check] [--json PATH]\n\
+         \x20                [--trace-out PATH] [--trace-in PATH]\n\
+         apps: gzip vpr gcc mcf parser mesa vortex art (+ bzip2 twolf crafty gap,\n\
+         \x20     execution-driven isa:{bubble,qsort,matmul,chase,strsearch,lz,checksum})\n\
+         schemes: basep baseecc baseecc-spec icr-{p,ecc}-{ps,pp}[-l2]-{s,ls}";
+
 /// Prints a diagnostic plus the usage text and returns the
 /// invalid-invocation exit code (2, in the `getopt` tradition —
 /// distinct from runtime failures, which exit 1).
 fn fail_usage(diagnostic: &str) -> ExitCode {
     eprintln!("error: {diagnostic}");
-    eprintln!(
-        "usage: icr-run <app> <scheme> [--insts N] [--seed S] [--window W]\n\
-         \x20                [--victim P] [--keep] [--write-through N]\n\
-         \x20                [--fault P] [--scrub I] [--check] [--json PATH]\n\
-         \x20                [--trace-out PATH] [--trace-in PATH]\n\
-         apps: gzip vpr gcc mcf parser mesa vortex art (+ bzip2 twolf crafty gap,\n\
-         \x20     execution-driven isa:{{bubble,qsort,matmul,chase,strsearch,lz,checksum}})\n\
-         schemes: basep baseecc baseecc-spec icr-{{p,ecc}}-{{ps,pp}}[-l2]-{{s,ls}}"
-    );
+    eprintln!("{USAGE}");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     if args.len() < 2 {
         return fail_usage("expected <app> and <scheme>");
     }

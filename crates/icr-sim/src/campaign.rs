@@ -2,11 +2,14 @@
 //! statistical scale).
 //!
 //! A campaign runs N independent single-event-upset trials for every
-//! (scheme × app) cell: each trial simulates the full machine with the
-//! fault injector capped at one fault until that fault's fate is sealed
-//! ([`run_trial`]), classifies how it ended ([`ErrorOutcome`]) and
-//! tallies the outcomes per cell with Wilson 95% confidence intervals
-//! over the survived fraction.
+//! (scheme × app) cell: each trial simulates the machine with the fault
+//! injector capped at one fault until that fault's fate is sealed,
+//! classifies how it ended ([`ErrorOutcome`]) and tallies the outcomes
+//! per cell with Wilson 95% confidence intervals over the survived
+//! fraction. Each cell runs fault-free once and records a [`Tape`] of
+//! its memory side; trials replay that tape without the core and fall
+//! back to the full [`run_trial`](crate::run_trial) if they diverge
+//! ([`run_trial_taped`]).
 //!
 //! **Determinism.** Trial `i` of cell `c` draws its injector seed as
 //! `icr_fault::trial_seed(master_seed, c·trials_per_cell + i)` — a pure
@@ -23,9 +26,9 @@
 //! report — is still thread-count independent.
 //!
 //! **Importance sampling.** With [`CampaignSpec::importance`], each
-//! cell first runs one fault-free profile (memoised by the engine) and
-//! keeps two things from it: an [`icr_core::InjectionProposal`] site
-//! boost from the exposure windows, and the run's cycle count `C`.
+//! cell keeps two more things from its tape-recording fault-free run:
+//! an [`icr_core::InjectionProposal`] site boost from the exposure
+//! windows, and the run's cycle count `C`.
 //! Importance trials then change the proposal on both axes of the
 //! injection:
 //!
@@ -64,10 +67,10 @@
 //! checkpoint identity.
 
 use crate::checkpoint::{self, ShardCellState, ShardCheckpoint};
-use crate::engine::Engine;
 use crate::exec::Pool;
-use crate::simulator::{run_trial, store_working_set, FaultConfig, SimConfig};
+use crate::simulator::{store_working_set, FaultConfig, SimConfig};
 use crate::stats::{wilson_ci95, wilson_ci95_f};
+use crate::tape::{run_trial_taped, Tape};
 use icr_core::{
     DataL1Config, ErrorOutcome, InjectionProposal, OutcomeTally, Scheme, WeightedTally,
 };
@@ -258,37 +261,8 @@ pub fn run_campaign_observed(
 ) -> io::Result<CampaignReport> {
     spec.validate();
     let pool = Pool::new(spec.threads);
-
-    struct CellState {
-        scheme: Scheme,
-        scheme_name: String,
-        app: String,
-        proposal: Option<CellProposal>,
-        tally: OutcomeTally,
-        weighted: Option<WeightedTally>,
-        trials_done: u64,
-        stopped_early: bool,
-        active: bool,
-    }
-
-    let mut cells: Vec<CellState> = spec
-        .schemes
-        .iter()
-        .flat_map(|&scheme| {
-            spec.apps.iter().map(move |app| CellState {
-                scheme,
-                scheme_name: scheme.name(),
-                app: app.clone(),
-                proposal: spec.importance.then(|| cell_proposal(spec, scheme, app)),
-                tally: OutcomeTally::default(),
-                weighted: spec.importance.then(WeightedTally::default),
-                trials_done: 0,
-                stopped_early: false,
-                active: true,
-            })
-        })
-        .collect();
-
+    let mut cells = campaign_cells(spec);
+    record_tapes(&pool, spec, &mut cells);
     // Round loop: every active cell contributes its next batch of trial
     // indices; the whole round fans out over the worker pool at once so
     // slow cells cannot starve the machine.
@@ -305,14 +279,7 @@ pub fn run_campaign_observed(
         }
 
         let outcomes = pool.run(jobs.clone(), |(ci, trial)| {
-            trial_outcome(
-                spec,
-                cells[ci].scheme,
-                &cells[ci].app,
-                ci,
-                trial,
-                cells[ci].proposal.as_ref(),
-            )
+            trial_outcome(spec, &cells[ci], ci, trial)
         });
 
         for ((ci, _), (outcome, weight)) in jobs.into_iter().zip(outcomes) {
@@ -331,8 +298,7 @@ pub fn run_campaign_observed(
                 .target_ci_width
                 .is_some_and(|w| injected > 0 && ci95.1 - ci95.0 <= w);
             if budget_spent || ci_reached {
-                cell.active = false;
-                cell.stopped_early = !budget_spent;
+                cell.finish(!budget_spent);
             }
             observer(&CellProgress {
                 scheme: &cell.scheme_name,
@@ -455,66 +421,81 @@ struct CellProposal {
 /// *same* value and the arrival would be correlated with the site draw.
 const ARRIVAL_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Derives a cell's importance proposal from one fault-free exposure
-/// profile. The profiling run is an ordinary engine run (memoised, so
-/// each cell pays for it once per process) and the proposal is a pure
-/// function of the spec — every worker of a fan-out derives the same
-/// proposal independently.
-fn cell_proposal(spec: &CampaignSpec, scheme: Scheme, app: &str) -> CellProposal {
+/// Records the tape of cell `(scheme, app)` from its one fault-free run
+/// (the configuration every trial of the cell shares, minus the fault)
+/// and, for importance campaigns, derives the cell's proposal from that
+/// same run: its exposure windows give the site boost and its cycle
+/// count the arrival horizon. Both are pure functions of the spec, so
+/// every worker of a fan-out derives the same ones independently.
+fn record_cell(spec: &CampaignSpec, scheme: Scheme, app: &str) -> (Tape, Option<CellProposal>) {
     let mut dl1 = DataL1Config::paper_default(scheme);
     dl1.oracle = spec.oracle;
     let cfg = SimConfig::builder(app, dl1)
         .instructions(spec.instructions)
         .seed(spec.master_seed)
         .build();
-    let r = Engine::global().run(&cfg);
-    let trace = icr_trace::store::global().get(app, spec.master_seed, spec.instructions);
-    CellProposal {
-        boost: InjectionProposal::from_windows(&r.exposure).dirty_boost,
-        profile_cycles: r.pipeline.cycles.max(1),
-        hot_blocks: Arc::new(store_working_set(&trace, cfg.dl1.geometry)),
+    let (profile, tape) = Tape::record(&cfg);
+    let proposal = spec.importance.then(|| {
+        let trace = icr_trace::store::global().get(app, spec.master_seed, spec.instructions);
+        CellProposal {
+            boost: InjectionProposal::from_windows(&profile.exposure).dirty_boost,
+            profile_cycles: profile.pipeline.cycles.max(1),
+            hot_blocks: Arc::new(store_working_set(&trace, cfg.dl1.geometry)),
+        }
+    });
+    (tape, proposal)
+}
+
+/// Records, over the pool, the tape (and proposal) of every active cell
+/// that has none yet. Each cell records once per process; a cell drops
+/// its tape when it goes inactive ([`CellSlot::finish`]).
+fn record_tapes(pool: &Pool, spec: &CampaignSpec, cells: &mut [CellSlot]) {
+    let missing: Vec<usize> = (0..cells.len())
+        .filter(|&ci| cells[ci].active && cells[ci].tape.is_none())
+        .collect();
+    let recorded = pool.run(missing.clone(), |ci| {
+        record_cell(spec, cells[ci].scheme, &cells[ci].app)
+    });
+    for (ci, (tape, proposal)) in missing.into_iter().zip(recorded) {
+        cells[ci].tape = Some(tape);
+        cells[ci].proposal = proposal;
     }
 }
 
 /// One trial: simulate the machine with a single fault — arriving
 /// per-cycle Bernoulli and placed uniformly, or (importance mode)
 /// forced to a conditional arrival draw and tilted toward
-/// strike-worthy sites — until its fate is sealed ([`run_trial`]), and
-/// classify the consequence. Returns the outcome and the trial's
-/// likelihood ratio (`1.0` for uniform trials and undelivered faults).
-/// A pure function of `(spec, scheme, app, cell_index, trial_index,
-/// proposal)`.
+/// strike-worthy sites — until its fate is sealed, replayed against the
+/// cell's tape ([`run_trial_taped`]), and classify the consequence.
+/// Returns the outcome and the trial's likelihood ratio (`1.0` for
+/// uniform trials and undelivered faults). A pure function of
+/// `(spec, cell, cell_index, trial_index)`.
 fn trial_outcome(
     spec: &CampaignSpec,
-    scheme: Scheme,
-    app: &str,
+    cell: &CellSlot,
     cell_index: usize,
     trial: u64,
-    proposal: Option<&CellProposal>,
 ) -> (ErrorOutcome, f64) {
+    let tape = cell.tape.as_ref().expect("active cells hold their tape");
     let global_index = cell_index as u64 * spec.trials_per_cell + trial;
     let fault_seed = trial_seed(spec.master_seed, global_index);
-    let mut dl1 = DataL1Config::paper_default(scheme);
-    dl1.oracle = spec.oracle;
-    let mut builder = SimConfig::builder(app, dl1)
-        .instructions(spec.instructions)
-        .seed(spec.master_seed)
-        .fault(FaultConfig::one_shot(
-            spec.model,
-            spec.effective_p(),
-            fault_seed,
-        ));
+    let mut config = tape.config().clone();
+    config.fault = Some(FaultConfig::one_shot(
+        spec.model,
+        spec.effective_p(),
+        fault_seed,
+    ));
+    let proposal = cell.proposal.as_ref();
     if let Some(p) = proposal {
         let arrival_seed = trial_seed(spec.master_seed ^ ARRIVAL_SALT, global_index);
-        builder = builder
-            .fault_bias(p.boost)
-            .fault_arrival(conditional_arrival(
-                spec.effective_p(),
-                p.profile_cycles,
-                arrival_seed,
-            ));
+        config.fault_bias = Some(p.boost);
+        config.fault_arrival = Some(conditional_arrival(
+            spec.effective_p(),
+            p.profile_cycles,
+            arrival_seed,
+        ));
     }
-    let t = run_trial(&builder.build(), proposal.map(|p| p.hot_blocks.clone()));
+    let t = run_trial_taped(&config, proposal.map(|p| p.hot_blocks.clone()), tape);
     (t.outcome(), t.fault_weight.unwrap_or(1.0))
 }
 
@@ -906,16 +887,30 @@ impl ShardedReport {
     }
 }
 
-struct ShardCellSlot {
+/// One (scheme × app) cell's running state, shared by both runners.
+struct CellSlot {
     scheme: Scheme,
     scheme_name: String,
     app: String,
+    /// The tape of the cell's fault-free run, held while the cell is
+    /// active ([`record_tapes`]).
+    tape: Option<Tape>,
+    /// Importance proposal, recorded with the tape.
     proposal: Option<CellProposal>,
     tally: OutcomeTally,
     weighted: Option<WeightedTally>,
     trials_done: u64,
     stopped_early: bool,
     active: bool,
+}
+
+impl CellSlot {
+    /// Retires the cell and frees its tape.
+    fn finish(&mut self, stopped_early: bool) {
+        self.active = false;
+        self.stopped_early = stopped_early;
+        self.tape = None;
+    }
 }
 
 /// Runs a sharded campaign with optional durable checkpoints; see
@@ -929,19 +924,19 @@ pub fn run_sharded_campaign(
     run_sharded_campaign_observed(spec, dir, resume, &stop, |_| {})
 }
 
-/// Builds the per-cell accumulation slots for a sharded run. `with_bias`
-/// derives each cell's importance proposal from a fault-free profiling
-/// run; the restore-only merge path passes `false` so it never
-/// simulates anything.
-fn shard_cells(base: &CampaignSpec, with_bias: bool) -> Vec<ShardCellSlot> {
+/// The per-cell accumulation slots of a campaign, in `schemes × apps`
+/// order. Tapes and proposals are recorded only once trials need them,
+/// so a resume or merge that restores every shard simulates nothing.
+fn campaign_cells(base: &CampaignSpec) -> Vec<CellSlot> {
     base.schemes
         .iter()
         .flat_map(|&scheme| {
-            base.apps.iter().map(move |app| ShardCellSlot {
+            base.apps.iter().map(move |app| CellSlot {
                 scheme,
                 scheme_name: scheme.name(),
                 app: app.clone(),
-                proposal: (with_bias && base.importance).then(|| cell_proposal(base, scheme, app)),
+                tape: None,
+                proposal: None,
                 tally: OutcomeTally::default(),
                 weighted: base.importance.then(WeightedTally::default),
                 trials_done: 0,
@@ -957,7 +952,7 @@ fn shard_cells(base: &CampaignSpec, with_bias: bool) -> Vec<ShardCellSlot> {
 /// shard-major — the same addition sequence every execution order
 /// reproduces, keeping `f64` totals bit-identical across straight runs,
 /// resumes and merges.
-fn fold_shard(cells: &mut [ShardCellSlot], shard_cells: &[ShardCellState]) -> u64 {
+fn fold_shard(cells: &mut [CellSlot], shard_cells: &[ShardCellState]) -> u64 {
     let mut n = 0;
     for (slot, cell) in cells.iter_mut().zip(shard_cells) {
         slot.tally.merge(&cell.tally);
@@ -971,7 +966,7 @@ fn fold_shard(cells: &mut [ShardCellSlot], shard_cells: &[ShardCellState]) -> u6
 }
 
 /// Evaluates the shard-boundary early-stop rule over every active cell.
-fn evaluate_stops(cells: &mut [ShardCellSlot], base: &CampaignSpec) {
+fn evaluate_stops(cells: &mut [CellSlot], base: &CampaignSpec) {
     for cell in cells.iter_mut().filter(|c| c.active) {
         let injected = cell.tally.injected();
         let (_, ci95) = cell_view(&cell.tally, cell.weighted.as_ref());
@@ -980,8 +975,7 @@ fn evaluate_stops(cells: &mut [ShardCellSlot], base: &CampaignSpec) {
             .target_ci_width
             .is_some_and(|w| injected > 0 && ci95.1 - ci95.0 <= w);
         if budget_spent || ci_reached {
-            cell.active = false;
-            cell.stopped_early = !budget_spent;
+            cell.finish(!budget_spent);
         }
     }
 }
@@ -990,7 +984,7 @@ fn evaluate_stops(cells: &mut [ShardCellSlot], base: &CampaignSpec) {
 /// runner and the merge.
 fn finish_sharded(
     spec: &ShardedCampaignSpec,
-    cells: Vec<ShardCellSlot>,
+    cells: Vec<CellSlot>,
     shards_done: u64,
     shards_resumed: u64,
     quarantined: u64,
@@ -1068,7 +1062,7 @@ pub fn run_sharded_campaign_observed(
     let fingerprint = spec.fingerprint();
     let pool = Pool::new(base.threads);
 
-    let mut cells = shard_cells(base, true);
+    let mut cells = campaign_cells(base);
 
     let mut available: std::collections::BTreeMap<u64, PathBuf> = Default::default();
     if let Some(dir) = dir {
@@ -1141,15 +1135,9 @@ pub fn run_sharded_campaign_observed(
                     .filter(|(_, c)| c.active)
                     .flat_map(|(ci, _)| (start..end).map(move |t| (ci, t)))
                     .collect();
+                record_tapes(&pool, base, &mut cells);
                 let results = pool.run(jobs.clone(), |(ci, trial)| {
-                    trial_outcome(
-                        base,
-                        cells[ci].scheme,
-                        &cells[ci].app,
-                        ci,
-                        trial,
-                        cells[ci].proposal.as_ref(),
-                    )
+                    trial_outcome(base, &cells[ci], ci, trial)
                 });
                 let mut shard_states: Vec<ShardCellState> = cells
                     .iter()
@@ -1267,7 +1255,7 @@ pub fn merge_sharded_campaign(
         }
     }
 
-    let mut cells = shard_cells(base, false);
+    let mut cells = campaign_cells(base);
     let shards_total = spec.shards_total();
     let mut shards_done = 0u64;
 
@@ -1311,7 +1299,7 @@ fn verify_participation(
     start: u64,
     end: u64,
     importance: bool,
-    cells: &[ShardCellSlot],
+    cells: &[CellSlot],
 ) -> Result<(), String> {
     if ckpt.shard != shard || ckpt.start != start || ckpt.end != end {
         return Err(format!(

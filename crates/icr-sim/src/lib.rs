@@ -10,6 +10,9 @@
 //! * [`simulator`] — [`SimConfig`] → [`run_sim`] → [`SimResult`], and
 //!   [`run_trial`] → [`TrialResult`] for one-shot fault trials that stop
 //!   once their outcome is fixed;
+//! * [`tape`] — taped trials: a [`Tape`] of one fault-free run's
+//!   memory-side events, against which [`run_trial_taped`] replays a
+//!   trial without the core, falling back to [`run_trial`] if it diverges;
 //! * [`engine`] — the memoizing execution engine every runner funnels
 //!   through: each distinct cell executes once per process and is shared
 //!   behind `Arc`s, workload traces are materialised once in the
@@ -66,6 +69,7 @@ pub mod json;
 pub mod report;
 pub mod simulator;
 pub mod stats;
+pub mod tape;
 pub mod vuln;
 
 pub use audit::{run_audit, AuditCell, AuditReport, AuditSpec, LockstepChecker};
@@ -83,4 +87,5 @@ pub use simulator::{
     SimConfigBuilder, SimResult, TrialResult,
 };
 pub use stats::{wilson_ci95, wilson_ci95_f, Summary};
+pub use tape::{run_trial_taped, Tape};
 pub use vuln::{run_vuln, VulnCell, VulnReport, VulnSpec};

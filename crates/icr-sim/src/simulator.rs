@@ -2,6 +2,7 @@
 //! plus optional fault injection. [`run_sim`] runs it to completion, and
 //! [`run_trial`] runs a one-shot fault trial until its outcome is fixed.
 
+use crate::tape::{Event, Recorder};
 use icr_core::{DataL1, DataL1Config, ErrorOutcome, WritePolicy};
 use icr_cpu::{CpuConfig, DataMemory, InstrMemory, Pipeline, PipelineStats};
 use icr_energy::AccessCounts;
@@ -384,11 +385,15 @@ pub fn store_working_set(trace: &[Inst], geometry: CacheGeometry) -> HashSet<u64
         .collect()
 }
 
-/// The machine state shared between the pipeline's two memory ports.
-struct Machine {
+/// The memory side of the machine: the dL1 and everything below it, plus
+/// the fault injector, scrubber, auditor and seal watch that act on it.
+/// The core's data port drives it one access at a time, and a taped
+/// trial ([`crate::tape`]) replays a recorded access stream through it
+/// with no core at all.
+pub(crate) struct MemSide {
     dl1: DataL1,
-    icache: InstrCache,
-    backend: MemoryBackend,
+    /// L2 and main memory, shared with the instruction side.
+    pub(crate) backend: MemoryBackend,
     injector: Option<FaultInjector>,
     /// Last cycle up to which faults have been injected.
     fault_horizon: u64,
@@ -401,19 +406,20 @@ struct Machine {
     /// ([`run_trial`] of a one-shot configuration).
     stop_when_sealed: bool,
     /// Set after the first access at which the struck block is sealed.
-    sealed: bool,
+    pub(crate) sealed: bool,
 }
 
-impl Machine {
-    /// The machine `config` describes, before its first cycle. A biased
-    /// injector boosts `hot_blocks`, or the store working set of `trace`
-    /// when none is given.
-    fn new(
+impl MemSide {
+    /// The memory side `config` describes, before its first access. A
+    /// biased injector boosts `hot_blocks`, or the store working set of
+    /// `trace` when none is given. With `stop_when_sealed`, it watches a
+    /// one-shot fault for its seal.
+    pub(crate) fn new(
         config: &SimConfig,
         trace: &[Inst],
         hot_blocks: Option<Arc<HashSet<u64>>>,
         stop_when_sealed: bool,
-    ) -> Machine {
+    ) -> MemSide {
         let mut dl1 = DataL1::new(config.dl1.clone());
         if let Some(p) = config.vuln_arrival_p {
             dl1.set_exposure_arrival(icr_core::Arrival::Geometric { p });
@@ -433,9 +439,8 @@ impl Machine {
                 )))
             }
         };
-        Machine {
+        MemSide {
             dl1,
-            icache: InstrCache::new(&config.hierarchy),
             backend: MemoryBackend::new(&config.hierarchy),
             injector: config.fault.map(|f| {
                 let mut inj = FaultInjector::new(f.model, f.p_per_cycle, f.seed);
@@ -470,30 +475,26 @@ impl Machine {
         }
     }
 
-    /// Builds the machine `config` describes and runs the core over
-    /// `trace`; see [`Machine::new`]. Returns the core's statistics and
-    /// the machine as the run left it.
-    fn run(
-        config: &SimConfig,
-        trace: &[Inst],
-        hot_blocks: Option<Arc<HashSet<u64>>>,
-        stop_when_sealed: bool,
-    ) -> (PipelineStats, Machine) {
-        let machine = Rc::new(RefCell::new(Machine::new(
-            config,
-            trace,
-            hot_blocks,
-            stop_when_sealed,
-        )));
-        let stats = Pipeline::new(config.cpu).run(
-            trace.iter().copied(),
-            &mut ImemPort(machine.clone()),
-            &mut DmemPort(machine.clone()),
-        );
-        let Ok(machine) = Rc::try_unwrap(machine) else {
-            unreachable!("the ports are dropped with the run");
-        };
-        (stats, machine.into_inner())
+    /// A dL1 load at cycle `now`; returns its latency.
+    pub(crate) fn load(&mut self, addr: u64, now: u64) -> u64 {
+        self.advance_faults(now);
+        let lat = self.dl1.load(Addr(addr), now, &mut self.backend);
+        if let Some(chk) = &mut self.checker {
+            chk.after_load(addr, now, &self.dl1, &self.backend);
+        }
+        self.watch_seal();
+        lat
+    }
+
+    /// A dL1 store at cycle `now`; returns its latency.
+    pub(crate) fn store(&mut self, addr: u64, now: u64) -> u64 {
+        self.advance_faults(now);
+        let lat = self.dl1.store(Addr(addr), now, &mut self.backend);
+        if let Some(chk) = &mut self.checker {
+            chk.after_store(addr, now, &self.dl1, &self.backend);
+        }
+        self.watch_seal();
+        lat
     }
 
     /// Brings fault injection up to `now` before an access observes state.
@@ -528,8 +529,75 @@ impl Machine {
         }
     }
 
-    fn l1i_stats(&self) -> &CacheStats {
-        self.icache.stats()
+    /// Faults delivered so far.
+    fn faults_injected(&self) -> u64 {
+        self.injector.as_ref().map(|i| i.injected()).unwrap_or(0)
+    }
+
+    /// The likelihood ratio of a biased run's fault (`None` when
+    /// unbiased).
+    fn fault_weight(&self, config: &SimConfig) -> Option<f64> {
+        match (config.fault_bias, self.injector.as_ref()) {
+            (Some(_), Some(inj)) => Some(inj.last_weight()),
+            _ => None,
+        }
+    }
+
+    /// What a trial of `config` that stopped here reports.
+    pub(crate) fn trial_result(&self, config: &SimConfig) -> TrialResult {
+        TrialResult {
+            faults_injected: self.faults_injected(),
+            icr: *self.dl1.stats(),
+            fault_weight: self.fault_weight(config),
+        }
+    }
+}
+
+/// `true` for a configuration whose injector delivers at most one fault:
+/// the run may stop once that fault's outcome is fixed.
+pub(crate) fn is_one_shot(config: &SimConfig) -> bool {
+    config.fault.is_some_and(|f| f.max_faults == Some(1))
+}
+
+/// The whole machine: the memory side plus the iL1, optionally taping
+/// what its memory side sees.
+struct Machine {
+    mem: MemSide,
+    icache: InstrCache,
+    /// Records the run's memory-side events ([`crate::Tape::record`]).
+    recorder: Option<Recorder>,
+}
+
+impl Machine {
+    /// The machine `config` describes, before its first cycle; see
+    /// [`MemSide::new`]. A `recorder` tapes the run.
+    fn new(
+        config: &SimConfig,
+        trace: &[Inst],
+        hot_blocks: Option<Arc<HashSet<u64>>>,
+        stop_when_sealed: bool,
+        recorder: Option<Recorder>,
+    ) -> Machine {
+        Machine {
+            mem: MemSide::new(config, trace, hot_blocks, stop_when_sealed),
+            icache: InstrCache::new(&config.hierarchy),
+            recorder,
+        }
+    }
+
+    /// Runs the core over `trace` against this machine. Returns the
+    /// core's statistics and the machine as the run left it.
+    fn run(self, config: &SimConfig, trace: &[Inst]) -> (PipelineStats, Machine) {
+        let machine = Rc::new(RefCell::new(self));
+        let stats = Pipeline::new(config.cpu).run(
+            trace.iter().copied(),
+            &mut ImemPort(machine.clone()),
+            &mut DmemPort(machine.clone()),
+        );
+        let Ok(machine) = Rc::try_unwrap(machine) else {
+            unreachable!("the ports are dropped with the run");
+        };
+        (stats, machine.into_inner())
     }
 }
 
@@ -539,30 +607,24 @@ struct ImemPort(Rc<RefCell<Machine>>);
 impl DataMemory for DmemPort {
     fn load(&mut self, addr: u64, now: u64) -> u64 {
         let mut m = self.0.borrow_mut();
-        m.advance_faults(now);
-        let m = &mut *m;
-        let lat = m.dl1.load(Addr(addr), now, &mut m.backend);
-        if let Some(chk) = &mut m.checker {
-            chk.after_load(addr, now, &m.dl1, &m.backend);
+        let lat = m.mem.load(addr, now);
+        if let Some(rec) = &mut m.recorder {
+            rec.push(Event::Load, addr, now, lat);
         }
-        m.watch_seal();
         lat
     }
 
     fn store(&mut self, addr: u64, now: u64) -> u64 {
         let mut m = self.0.borrow_mut();
-        m.advance_faults(now);
-        let m = &mut *m;
-        let lat = m.dl1.store(Addr(addr), now, &mut m.backend);
-        if let Some(chk) = &mut m.checker {
-            chk.after_store(addr, now, &m.dl1, &m.backend);
+        let lat = m.mem.store(addr, now);
+        if let Some(rec) = &mut m.recorder {
+            rec.push(Event::Store, addr, now, lat);
         }
-        m.watch_seal();
         lat
     }
 
     fn halted(&self) -> bool {
-        self.0.borrow().sealed
+        self.0.borrow().mem.sealed
     }
 }
 
@@ -570,13 +632,16 @@ impl InstrMemory for ImemPort {
     fn fetch(&mut self, pc: u64, now: u64) -> u64 {
         let mut m = self.0.borrow_mut();
         let m = &mut *m;
-        let _ = now;
-        m.icache.fetch(Addr(pc), &mut m.backend)
+        let (lat, l2_read) = m.icache.fetch_traced(Addr(pc), &mut m.mem.backend);
+        if let (Some(rec), Some((block, l2_lat))) = (&mut m.recorder, l2_read) {
+            rec.push(Event::L2Read, block.raw(), now, l2_lat);
+        }
+        lat
     }
 }
 
 /// The workload trace `config` runs, from the process-wide store.
-fn trace_of(config: &SimConfig) -> Arc<[Inst]> {
+pub(crate) fn trace_of(config: &SimConfig) -> Arc<[Inst]> {
     // Make the execution-driven `isa:*` kernels resolvable everywhere a
     // simulation can start; install() is idempotent and cheap.
     icr_isa::install();
@@ -593,18 +658,24 @@ fn trace_of(config: &SimConfig) -> Arc<[Inst]> {
 /// Panics on an invalid configuration or unknown application name.
 pub fn run_sim(config: &SimConfig) -> SimResult {
     let trace = trace_of(config);
-    let (stats, m) = Machine::run(config, &trace, None, false);
-    let icr = *m.dl1.stats();
-    let l2 = *m.backend.l2_stats();
-    let l1i = *m.l1i_stats();
+    let (stats, m) = Machine::new(config, &trace, None, false, None).run(config, &trace);
+    sim_result(config, stats, &m)
+}
+
+/// Assembles the [`SimResult`] of a finished run.
+fn sim_result(config: &SimConfig, stats: PipelineStats, m: &Machine) -> SimResult {
+    let dl1 = &m.mem.dl1;
+    let backend = &m.mem.backend;
+    let icr = *dl1.stats();
+    let l2 = *backend.l2_stats();
+    let l1i = *m.icache.stats();
 
     // Energy: in write-through mode the buffer coalesces stores, so L2
     // write traffic is the buffer's drain count, not one write per store.
-    let l2_accesses = match m.dl1.config().write_policy {
+    let l2_accesses = match dl1.config().write_policy {
         WritePolicy::WriteBack => l2.accesses(),
         WritePolicy::WriteThrough { .. } => {
-            let wb_writes = m
-                .dl1
+            let wb_writes = dl1
                 .write_buffer()
                 .map(|wb| wb.total_l2_writes())
                 .unwrap_or(0);
@@ -619,7 +690,7 @@ pub fn run_sim(config: &SimConfig) -> SimResult {
         l2_accesses,
     };
 
-    let exposure = m.dl1.exposure_windows(stats.cycles);
+    let exposure = dl1.exposure_windows(stats.cycles);
     SimResult {
         app: config.app.clone(),
         scheme: config.dl1.scheme.name(),
@@ -627,19 +698,30 @@ pub fn run_sim(config: &SimConfig) -> SimResult {
         icr,
         l2,
         l1i,
-        memory_reads: m.backend.memory_reads(),
-        memory_writes: m.backend.memory_writes(),
-        faults_injected: m.injector.as_ref().map(|i| i.injected()).unwrap_or(0),
+        memory_reads: backend.memory_reads(),
+        memory_writes: backend.memory_writes(),
+        faults_injected: m.mem.faults_injected(),
         energy_counts,
         avg_vulnerable_words: exposure.avg_words_in(icr_core::ProtState::DirtyParity),
         exposure,
-        fault_weight: fault_weight(config, &m),
+        fault_weight: m.mem.fault_weight(config),
         fault_log: m
+            .mem
             .injector
             .as_ref()
             .map(|i| i.log().to_vec())
             .unwrap_or_default(),
     }
+}
+
+/// Runs `config` and tapes its memory side; see [`crate::Tape::record`].
+pub(crate) fn record(config: &SimConfig) -> (SimResult, Recorder) {
+    let trace = trace_of(config);
+    let recorder = Recorder::for_trace(&trace);
+    let (stats, mut m) =
+        Machine::new(config, &trace, None, false, Some(recorder)).run(config, &trace);
+    let result = sim_result(config, stats, &m);
+    (result, m.recorder.take().expect("recording run"))
 }
 
 /// Runs one fault trial, stopping as early as its outcome allows.
@@ -659,21 +741,9 @@ pub fn run_sim(config: &SimConfig) -> SimResult {
 /// Panics on an invalid configuration or unknown application name.
 pub fn run_trial(config: &SimConfig, hot_blocks: Option<Arc<HashSet<u64>>>) -> TrialResult {
     let trace = trace_of(config);
-    let one_shot = config.fault.is_some_and(|f| f.max_faults == Some(1));
-    let (_, m) = Machine::run(config, &trace, hot_blocks, one_shot);
-    TrialResult {
-        faults_injected: m.injector.as_ref().map(|i| i.injected()).unwrap_or(0),
-        icr: *m.dl1.stats(),
-        fault_weight: fault_weight(config, &m),
-    }
-}
-
-/// The likelihood ratio of a biased run's fault (`None` when unbiased).
-fn fault_weight(config: &SimConfig, m: &Machine) -> Option<f64> {
-    match (config.fault_bias, m.injector.as_ref()) {
-        (Some(_), Some(inj)) => Some(inj.last_weight()),
-        _ => None,
-    }
+    let one_shot = is_one_shot(config);
+    let (_, m) = Machine::new(config, &trace, hot_blocks, one_shot, None).run(config, &trace);
+    m.mem.trial_result(config)
 }
 
 #[cfg(test)]

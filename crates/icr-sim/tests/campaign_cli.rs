@@ -37,6 +37,18 @@ fn assert_usage_error(args: &[&str], diagnostic_fragment: &str) {
 }
 
 #[test]
+fn help_prints_usage_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let out = run(&[flag]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("usage: icr-campaign") && out.stderr.is_empty(),
+            "{flag}: expected usage on stdout and exit 0, got {out:?}"
+        );
+    }
+}
+
+#[test]
 fn unknown_option_exits_2() {
     assert_usage_error(&["--frobnicate"], "unknown option \"--frobnicate\"");
 }

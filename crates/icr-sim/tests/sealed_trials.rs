@@ -3,7 +3,8 @@
 //! mcf and gcc × all four error models × uniform and importance
 //! sampling × oracle on and off, the trial that stops once its fault's
 //! outcome is fixed must report the outcome, fault count and weight of
-//! the run simulated to its last instruction.
+//! the run simulated to its last instruction, and the trial replayed
+//! against its cell's tape must return the sealed trial's whole result.
 
 #[path = "support/sealed.rs"]
 mod sealed;
@@ -24,11 +25,16 @@ fn sealed_trials_match_full_runs_across_the_matrix() {
         instructions: 4_000,
         seed: 20_031,
     };
-    let (pairs, simulated) = sealed::check(&m);
-    assert_eq!(pairs, 3_456);
-    println!("{pairs} pairs agree; sealed trials simulated {simulated:.3} of the accesses");
-    assert!(
-        simulated < 0.75,
-        "trials barely stopped early: {simulated:.3}"
+    let checked = sealed::check(&m);
+    assert_eq!(checked.pairs, 3_456);
+    println!(
+        "{} trials agree; sealed trials simulated {:.3} of the accesses; {} finished on the tape",
+        checked.pairs, checked.simulated, checked.on_tape
     );
+    assert!(
+        checked.simulated < 0.75,
+        "trials barely stopped early: {:.3}",
+        checked.simulated
+    );
+    checked.assert_mostly_on_tape();
 }

@@ -63,7 +63,7 @@ fn fold_state(h: &mut u64, dl1: &DataL1, now: u64) {
         fold(h, u64::from(l.dead));
     }
     for s in 0..dl1.geometry().num_sets() {
-        for &w in dl1.lru_order(s) {
+        for w in dl1.lru_order(s) {
             fold(h, w as u64);
         }
     }

@@ -1,7 +1,8 @@
 //! Debug-sized copy of `crates/icr-sim/tests/sealed_trials.rs`: a sealed
 //! one-shot trial must report the outcome, fault count and weight of the
-//! full run, here over three schemes that between them cover parity and
-//! SEC-DED, both lookups and the L2 spill tier.
+//! full run, and a taped trial the sealed trial's whole result, here over
+//! three schemes that between them cover parity and SEC-DED, both
+//! lookups and the L2 spill tier.
 
 #[path = "../crates/icr-sim/tests/support/sealed.rs"]
 mod sealed;
@@ -15,7 +16,7 @@ fn sealed_trials_match_full_runs() {
     let m = Matrix {
         schemes: vec![
             Scheme::BASE_P,
-            Scheme::ICR_P_PP_LS,
+            Scheme::ICR_P_PS_LS,
             Scheme::ICR_ECC_PP_LS_L2,
         ],
         apps: vec!["gzip"],
@@ -24,10 +25,12 @@ fn sealed_trials_match_full_runs() {
         instructions: 4_000,
         seed: 7,
     };
-    let (pairs, simulated) = sealed::check(&m);
-    assert_eq!(pairs, 3 * 4 * 2 * 2 * 3);
+    let checked = sealed::check(&m);
+    assert_eq!(checked.pairs, 3 * 4 * 2 * 2 * 3);
     assert!(
-        simulated < 0.9,
-        "trials barely stopped early: {simulated:.3}"
+        checked.simulated < 0.9,
+        "trials barely stopped early: {:.3}",
+        checked.simulated
     );
+    checked.assert_mostly_on_tape();
 }
