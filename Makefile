@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify check build test fmt fmt-check clippy doc bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill trace-roundtrip campaign campaign-resume campaign-fanout audit isa-audit clean
+.PHONY: verify check build test fmt fmt-check clippy doc bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill trace-roundtrip campaign campaign-resume campaign-fanout perfbench-test audit isa-audit clean
 
 ## Full verification: build + all tests + formatting + lints + docs,
 ## plus a build-only check of the bench targets, the dL1-vs-spill
@@ -11,10 +11,10 @@ CARGO ?= cargo
 ## audit of the full scheme × app matrix — ten paper presets plus two
 ## L2-spill descriptors — against the icr-check reference model, a
 ## byte-identical trace save/replay round-trip through icr-run, a
-## kill-and-resume smoke of the checkpointed campaign service, and a
+## kill-and-resume smoke of the checkpointed campaign service, a
 ## two-worker fan-out whose merge must be byte-identical to the
-## single-process run.
-verify: build test fmt-check clippy doc bench-engine-build bench-all-build bench-isa-build bench-campaign-build bench-importance-build bench-spill trace-roundtrip campaign-resume campaign-fanout audit
+## single-process run, and the repository benchmark's own tests.
+verify: build test fmt-check clippy doc bench-engine-build bench-all-build bench-isa-build bench-campaign-build bench-importance-build bench-spill trace-roundtrip campaign-resume campaign-fanout perfbench-test audit
 	@echo "verify: OK"
 
 ## Tier-1 gate (ROADMAP.md): release build + quiet tests.
@@ -163,13 +163,17 @@ bench-importance-build:
 ## Multi-host fan-out smoke: the same sharded campaign run once in a
 ## single process and once as two --worker halves into separate
 ## checkpoint directories, then merged restore-only; the two JSON
-## reports must be byte-identical.
+## reports must be byte-identical. The same campaign run in memory
+## (no --checkpoint) must match the single-process report minus its
+## "sharding" block: both modes run one shard loop, and the shard size
+## is the --batch default (--shard-size needs --checkpoint).
 CAMPAIGN_FANOUT_ARGS = --schemes basep,icr-p-ps-s --apps gzip --trials 200 \
-	--insts 20000 --shard-size 10 --seed 7 --importance --quiet
+	--insts 20000 --batch 10 --seed 7 --importance --quiet
 campaign-fanout:
 	$(CARGO) build --release -p icr-sim --bin icr-campaign
 	rm -rf target/fan-single target/fan-w0 target/fan-w1
-	rm -f target/fan-single.json target/fan-merged.json
+	rm -f target/fan-single.json target/fan-merged.json target/fan-plain.json \
+		target/fan-single-unsharded.json
 	./target/release/icr-campaign $(CAMPAIGN_FANOUT_ARGS) \
 		--checkpoint target/fan-single --json target/fan-single.json
 	./target/release/icr-campaign $(CAMPAIGN_FANOUT_ARGS) \
@@ -177,11 +181,24 @@ campaign-fanout:
 	./target/release/icr-campaign $(CAMPAIGN_FANOUT_ARGS) \
 		--worker 1/2 --checkpoint target/fan-w1
 	./target/release/icr-campaign merge --schemes basep,icr-p-ps-s \
-		--apps gzip --trials 200 --insts 20000 --shard-size 10 --seed 7 \
-		--importance --quiet --json target/fan-merged.json \
+		--apps gzip --trials 200 --insts 20000 --batch 10 --shard-size 10 \
+		--seed 7 --importance --quiet --json target/fan-merged.json \
 		target/fan-w0 target/fan-w1
 	cmp target/fan-single.json target/fan-merged.json
-	@echo "campaign-fanout: OK (merged worker output is byte-identical)"
+	./target/release/icr-campaign $(CAMPAIGN_FANOUT_ARGS) \
+		--json target/fan-plain.json
+	sed '/"sharding": {/,/^  },/d' target/fan-single.json \
+		> target/fan-single-unsharded.json
+	cmp target/fan-single-unsharded.json target/fan-plain.json
+	@echo "campaign-fanout: OK (merged worker and in-memory output are byte-identical)"
+
+## The repository benchmark's own tests: perfbench's unit tests, then
+## its metric-name self-test (builds the benchmark crate and makes one
+## short traced and untraced run). Catches library API changes that
+## break the benchmark, which no workspace target compiles.
+perfbench-test:
+	$(CARGO) test --manifest-path perfbench/Cargo.toml
+	python3 perfbench/test_run.py
 
 ## dL1-only vs L2-spill placement: per-app wall time plus the spill
 ## region's lifecycle counters, recorded to BENCH_spill.json. Asserts

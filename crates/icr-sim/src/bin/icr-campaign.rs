@@ -433,6 +433,9 @@ fn run_checkpointed(
                     );
                 }
             }
+            // Checkpoint mode reports per shard; per-cell lines are the
+            // plain mode's view of the same stream.
+            ShardEvent::Cell(_) => {}
         }
     });
 
@@ -494,7 +497,8 @@ fn run_checkpointed(
     write_report(&report.to_json(), json_path.as_deref(), quiet)
 }
 
-/// The original single-process batch mode (no `--checkpoint`).
+/// The in-memory mode (no `--checkpoint`): one progress line per
+/// [`ShardEvent::Cell`] of the campaign's event stream.
 fn run_plain(spec: CampaignSpec, json_path: Option<String>, quiet: bool) -> ExitCode {
     let started = Instant::now();
     let mut per_cell: std::collections::HashMap<(String, String), u64> = Default::default();

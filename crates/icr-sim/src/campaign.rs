@@ -11,18 +11,27 @@
 //! back to the full [`run_trial`](crate::run_trial) if they diverge
 //! ([`run_trial_taped`]).
 //!
+//! **One runner.** Every campaign runs through one shard loop
+//! ([`run_sharded_campaign_observed`]): shard `s` runs trial indices
+//! `[s·shard_size, (s+1)·shard_size)` of every active cell as one pool
+//! batch, folds them into the cell tallies and then applies the stop
+//! rule. The in-memory [`run_campaign`] is that loop with
+//! `shard_size = batch`, no checkpoint directory and a stop flag that
+//! is never set; `--checkpoint` adds a durable file per shard.
+//!
 //! **Determinism.** Trial `i` of cell `c` draws its injector seed as
 //! `icr_fault::trial_seed(master_seed, c·trials_per_cell + i)` — a pure
 //! SplitMix64 function of the campaign's master seed and the trial's
 //! coordinates. Trials are pure functions of their seed, tallies are
-//! commutative integer sums, and early stopping is only evaluated at
-//! fixed batch boundaries, so a campaign's results are bit-identical
-//! across repeated runs, thread counts and work interleavings.
+//! folded shard by shard in cell order, and early stopping is only
+//! evaluated at fixed shard boundaries, so a campaign's results are
+//! bit-identical across repeated runs, thread counts and work
+//! interleavings.
 //!
 //! **Early stopping.** With a `target_ci_width`, a cell stops as soon as
-//! a completed batch leaves its Wilson interval narrower than the target,
+//! a completed shard leaves its Wilson interval narrower than the target,
 //! instead of burning the full trial budget. Because the check happens
-//! only between whole batches, the set of executed trials — and hence the
+//! only between whole shards, the set of executed trials — and hence the
 //! report — is still thread-count independent.
 //!
 //! **Importance sampling.** With [`CampaignSpec::importance`], each
@@ -91,8 +100,9 @@ pub struct CampaignSpec {
     pub apps: Vec<String>,
     /// Trial budget per (scheme × app) cell.
     pub trials_per_cell: u64,
-    /// Trials per early-stopping batch; stopping decisions happen only at
-    /// multiples of this, which keeps them thread-count independent.
+    /// Trials per early-stopping batch — the shard size of the in-memory
+    /// [`run_campaign`]. Stopping decisions happen only at multiples of
+    /// this, which keeps them thread-count independent.
     pub batch: u64,
     /// Master seed; every trial seed derives from it via SplitMix64.
     pub master_seed: u64,
@@ -155,18 +165,29 @@ impl CampaignSpec {
         }
     }
 
-    fn validate(&self) {
-        assert!(
+    fn validate(&self) -> io::Result<()> {
+        ensure(
             !self.schemes.is_empty(),
-            "campaign needs at least one scheme"
-        );
-        assert!(!self.apps.is_empty(), "campaign needs at least one app");
-        assert!(
+            "campaign needs at least one scheme",
+        )?;
+        ensure(!self.apps.is_empty(), "campaign needs at least one app")?;
+        ensure(
             self.trials_per_cell > 0,
-            "campaign needs at least one trial"
-        );
-        assert!(self.batch > 0, "batch size must be positive");
-        assert!(self.instructions > 0, "trials need instructions to run");
+            "campaign needs at least one trial",
+        )?;
+        ensure(self.batch > 0, "batch size must be positive")?;
+        ensure(self.instructions > 0, "trials need instructions to run")
+    }
+}
+
+/// `Ok` when `ok` holds, else an [`io::ErrorKind::InvalidInput`] error
+/// carrying `msg`: how the campaign entry points reject a spec or call
+/// no campaign can run.
+fn ensure(ok: bool, msg: &str) -> io::Result<()> {
+    if ok {
+        Ok(())
+    } else {
+        Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
     }
 }
 
@@ -215,8 +236,9 @@ pub struct CampaignReport {
     pub cells: Vec<CellReport>,
 }
 
-/// Progress snapshot handed to the observer after every completed batch
-/// round of a cell.
+/// Progress snapshot of one cell, streamed as [`ShardEvent::Cell`] after
+/// every shard the cell was active in, once that shard's stop rule has
+/// run — for [`run_campaign_observed`], after every batch.
 #[derive(Debug, Clone, Copy)]
 pub struct CellProgress<'a> {
     /// Scheme name of the cell.
@@ -241,16 +263,21 @@ pub struct CellProgress<'a> {
 ///
 /// # Errors
 ///
-/// Returns an error (instead of aborting) when a cell's final tally
+/// Returns an [`io::ErrorKind::InvalidInput`] error for a spec no
+/// campaign can run (no schemes, apps, trials, batch or instructions),
+/// and an error (instead of aborting) when a cell's final tally
 /// violates outcome conservation or its weighted tally fails its
 /// internal invariants — the diagnostic names the offending cell.
 pub fn run_campaign(spec: &CampaignSpec) -> io::Result<CampaignReport> {
     run_campaign_observed(spec, |_| {})
 }
 
-/// Runs a campaign, reporting per-cell progress through `observer` after
-/// every batch round. The observer is called from the coordinating
-/// thread, never concurrently.
+/// Runs a campaign in memory, reporting per-cell progress through
+/// `observer` after every batch. This is the shard loop of
+/// [`run_sharded_campaign_observed`] with `shard_size = batch`, no
+/// checkpoint directory and no stop request, keeping only its
+/// [`ShardEvent::Cell`] events. The observer is called from the
+/// coordinating thread, never concurrently.
 ///
 /// # Errors
 ///
@@ -259,85 +286,14 @@ pub fn run_campaign_observed(
     spec: &CampaignSpec,
     mut observer: impl FnMut(&CellProgress<'_>),
 ) -> io::Result<CampaignReport> {
-    spec.validate();
-    let pool = Pool::new(spec.threads);
-    let mut cells = campaign_cells(spec);
-    record_tapes(&pool, spec, &mut cells);
-    // Round loop: every active cell contributes its next batch of trial
-    // indices; the whole round fans out over the worker pool at once so
-    // slow cells cannot starve the machine.
-    while cells.iter().any(|c| c.active) {
-        let mut jobs: Vec<(usize, u64)> = Vec::new();
-        for (ci, cell) in cells.iter().enumerate() {
-            if !cell.active {
-                continue;
-            }
-            let remaining = spec.trials_per_cell - cell.trials_done;
-            for t in 0..spec.batch.min(remaining) {
-                jobs.push((ci, cell.trials_done + t));
-            }
+    let never = AtomicBool::new(false);
+    let sharded = ShardedCampaignSpec::new(spec.clone(), spec.batch);
+    let report = run_sharded_campaign_observed(&sharded, None, false, &never, |e| {
+        if let ShardEvent::Cell(p) = e {
+            observer(p);
         }
-
-        let outcomes = pool.run(jobs.clone(), |(ci, trial)| {
-            trial_outcome(spec, &cells[ci], ci, trial)
-        });
-
-        for ((ci, _), (outcome, weight)) in jobs.into_iter().zip(outcomes) {
-            cells[ci].tally.record(outcome);
-            if let Some(w) = cells[ci].weighted.as_mut() {
-                w.record(outcome, weight);
-            }
-            cells[ci].trials_done += 1;
-        }
-
-        for cell in cells.iter_mut().filter(|c| c.active) {
-            let injected = cell.tally.injected();
-            let (survived, ci95) = cell_view(&cell.tally, cell.weighted.as_ref());
-            let budget_spent = cell.trials_done >= spec.trials_per_cell;
-            let ci_reached = spec
-                .target_ci_width
-                .is_some_and(|w| injected > 0 && ci95.1 - ci95.0 <= w);
-            if budget_spent || ci_reached {
-                cell.finish(!budget_spent);
-            }
-            observer(&CellProgress {
-                scheme: &cell.scheme_name,
-                app: &cell.app,
-                trials_done: cell.trials_done,
-                trials_target: spec.trials_per_cell,
-                survived,
-                ci95,
-                done: !cell.active,
-                stopped_early: cell.stopped_early,
-            });
-        }
-    }
-
-    for c in &cells {
-        check_conservation(
-            "campaign",
-            &c.scheme_name,
-            &c.app,
-            c.trials_done,
-            &c.tally,
-            c.weighted.as_ref(),
-        )?;
-    }
-
-    Ok(CampaignReport {
-        spec: spec.clone(),
-        cells: cells
-            .into_iter()
-            .map(|c| CellReport {
-                scheme: c.scheme,
-                app: c.app,
-                trials: c.trials_done,
-                stopped_early: c.stopped_early,
-                tally: c.tally,
-                weighted: c.weighted,
-            })
-            .collect(),
-    })
+    })?;
+    Ok(report.report)
 }
 
 /// The progress numbers a cell reports: the weighted survived estimate
@@ -362,7 +318,6 @@ fn cell_view(tally: &OutcomeTally, weighted: Option<&WeightedTally>) -> (f64, (f
 /// the offending cell so callers can quarantine it (and, in checkpoint
 /// mode, leave every durable shard file intact for inspection).
 fn check_conservation(
-    engine: &str,
     scheme: &str,
     app: &str,
     trials: u64,
@@ -371,7 +326,7 @@ fn check_conservation(
 ) -> io::Result<()> {
     let fail = |e: String| {
         io::Error::other(format!(
-            "{engine} tally violates conservation: scheme {scheme}, app {app}: {e}; \
+            "campaign tally violates conservation: scheme {scheme}, app {app}: {e}; \
              the cell is quarantined from the report and any checkpoints are preserved"
         ))
     };
@@ -684,22 +639,23 @@ impl CampaignReport {
     }
 }
 
-/// A campaign partitioned into seed-range shards for checkpointed,
-/// resumable execution.
+/// A campaign partitioned into seed-range shards — the shape every
+/// campaign runs in, checkpointed and resumable when given a directory.
 ///
 /// Shard `s` covers per-cell trial indices `[s·shard_size,
 /// min((s+1)·shard_size, trials_per_cell))` for every cell still
-/// active. Trial seeds derive exactly as in the unsharded engine — a
-/// pure SplitMix64 function of the master seed and the trial's global
-/// coordinates — so each shard's seed stream is independent of every
-/// other shard's, shard tallies are order-insensitive and mergeable,
-/// and a sharded campaign without early stopping reproduces the
-/// unsharded tallies bit-for-bit.
+/// active. Trial seeds are a pure SplitMix64 function of the master
+/// seed and the trial's global coordinates, so each shard's seed
+/// stream is independent of every other shard's, shard tallies are
+/// mergeable, and without early stopping every shard size yields the
+/// same outcome counts bit-for-bit.
 ///
-/// In sharded mode, early-stopping decisions happen at **shard**
-/// boundaries (the shard is the durable unit of progress), so
-/// [`CampaignSpec::batch`] is ignored; everything else in the base
-/// spec keeps its meaning.
+/// Early-stopping decisions happen at **shard** boundaries (the shard
+/// is the unit of progress, and the durable one when checkpointed).
+/// The in-memory [`run_campaign`] is this spec with
+/// `shard_size = batch`; an explicit shard size takes the place of
+/// [`CampaignSpec::batch`], which then only echoes into the report.
+/// Everything else in the base spec keeps its meaning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedCampaignSpec {
     /// The campaign being sharded.
@@ -785,26 +741,30 @@ impl ShardedCampaignSpec {
         checkpoint::fnv1a64(canon.as_bytes())
     }
 
-    fn validate(&self) {
-        self.base.validate();
-        assert!(self.shard_size > 0, "shard size must be positive");
+    fn validate(&self) -> io::Result<()> {
+        self.base.validate()?;
+        ensure(self.shard_size > 0, "shard size must be positive")?;
         if let Some((i, n)) = self.worker {
-            assert!(n > 0, "worker fan-out must have at least one worker");
-            assert!(i < n, "worker index {i} out of range for {n} workers");
-            assert!(
+            ensure(n > 0, "worker fan-out must have at least one worker")?;
+            ensure(
+                i < n,
+                &format!("worker index {i} out of range for {n} workers"),
+            )?;
+            ensure(
                 self.base.target_ci_width.is_none(),
                 "early stopping needs the full cumulative shard order; \
-                 a worker slice cannot evaluate it"
-            );
+                 a worker slice cannot evaluate it",
+            )?;
         }
+        Ok(())
     }
 }
 
-/// What happened to one shard, streamed to the observer as the
-/// campaign advances (the per-shard progress feed that replaces
-/// waiting on the single end-of-run JSON blob).
+/// What happened during a campaign, streamed to the observer as it
+/// advances (the progress feed that replaces waiting on the single
+/// end-of-run JSON blob).
 #[derive(Debug, Clone)]
-pub enum ShardEvent {
+pub enum ShardEvent<'a> {
     /// A checkpoint file failed verification and was renamed aside;
     /// its shard will re-run from its seeds.
     Quarantined {
@@ -815,6 +775,10 @@ pub enum ShardEvent {
         /// Why verification failed.
         reason: String,
     },
+    /// A cell that took part in a shard, after that shard's stop rule
+    /// ran; one per such cell, in cell order, before the shard's
+    /// [`ShardEvent::ShardDone`].
+    Cell(CellProgress<'a>),
     /// A shard completed — executed fresh or restored from a verified
     /// checkpoint.
     ShardDone(ShardProgress),
@@ -887,7 +851,7 @@ impl ShardedReport {
     }
 }
 
-/// One (scheme × app) cell's running state, shared by both runners.
+/// One (scheme × app) cell's running state.
 struct CellSlot {
     scheme: Scheme,
     scheme_name: String,
@@ -965,11 +929,17 @@ fn fold_shard(cells: &mut [CellSlot], shard_cells: &[ShardCellState]) -> u64 {
     n
 }
 
-/// Evaluates the shard-boundary early-stop rule over every active cell.
-fn evaluate_stops(cells: &mut [CellSlot], base: &CampaignSpec) {
+/// The stop rule: evaluated at every shard boundary over every active
+/// cell, each of which then reports its progress as a
+/// [`ShardEvent::Cell`].
+fn evaluate_stops(
+    cells: &mut [CellSlot],
+    base: &CampaignSpec,
+    observer: &mut impl FnMut(&ShardEvent),
+) {
     for cell in cells.iter_mut().filter(|c| c.active) {
         let injected = cell.tally.injected();
-        let (_, ci95) = cell_view(&cell.tally, cell.weighted.as_ref());
+        let (survived, ci95) = cell_view(&cell.tally, cell.weighted.as_ref());
         let budget_spent = cell.trials_done >= base.trials_per_cell;
         let ci_reached = base
             .target_ci_width
@@ -977,11 +947,21 @@ fn evaluate_stops(cells: &mut [CellSlot], base: &CampaignSpec) {
         if budget_spent || ci_reached {
             cell.finish(!budget_spent);
         }
+        observer(&ShardEvent::Cell(CellProgress {
+            scheme: &cell.scheme_name,
+            app: &cell.app,
+            trials_done: cell.trials_done,
+            trials_target: base.trials_per_cell,
+            survived,
+            ci95,
+            done: !cell.active,
+            stopped_early: cell.stopped_early,
+        }));
     }
 }
 
-/// Final conservation audit plus report assembly shared by the sharded
-/// runner and the merge.
+/// Final conservation audit plus report assembly shared by the shard
+/// loop and the merge.
 fn finish_sharded(
     spec: &ShardedCampaignSpec,
     cells: Vec<CellSlot>,
@@ -992,7 +972,6 @@ fn finish_sharded(
     let complete = cells.iter().all(|c| !c.active);
     for c in &cells {
         check_conservation(
-            "sharded campaign",
             &c.scheme_name,
             &c.app,
             c.trials_done,
@@ -1025,9 +1004,11 @@ fn finish_sharded(
     })
 }
 
-/// Runs a sharded campaign, persisting one verified checkpoint per
-/// completed shard into `dir` (when given) and streaming a
-/// [`ShardEvent`] per shard to `observer`.
+/// Runs a sharded campaign — the one trial loop every campaign runs
+/// through — persisting one verified checkpoint per completed shard
+/// into `dir` (when given) and streaming [`ShardEvent`]s to `observer`:
+/// a [`ShardEvent::Cell`] per cell active in the shard, then its
+/// [`ShardEvent::ShardDone`].
 ///
 /// * With `resume`, checkpoints already in `dir` satisfy their shards
 ///   without re-execution — after full verification (magic, version,
@@ -1043,9 +1024,11 @@ fn finish_sharded(
 ///
 /// # Errors
 ///
-/// Propagates checkpoint-directory I/O failures. Without `resume`, a
-/// directory already holding shard checkpoints is refused rather than
-/// silently overwritten.
+/// Propagates checkpoint-directory I/O failures and conservation
+/// violations ([`run_campaign`]). An invalid spec, or `resume` without
+/// a directory, is an [`io::ErrorKind::InvalidInput`] error. Without
+/// `resume`, a directory already holding shard checkpoints is refused
+/// rather than silently overwritten.
 pub fn run_sharded_campaign_observed(
     spec: &ShardedCampaignSpec,
     dir: Option<&Path>,
@@ -1053,11 +1036,11 @@ pub fn run_sharded_campaign_observed(
     stop: &AtomicBool,
     mut observer: impl FnMut(&ShardEvent),
 ) -> io::Result<ShardedReport> {
-    spec.validate();
-    assert!(
+    spec.validate()?;
+    ensure(
         dir.is_some() || !resume,
-        "resume requires a checkpoint directory"
-    );
+        "resume requires a checkpoint directory",
+    )?;
     let base = &spec.base;
     let fingerprint = spec.fingerprint();
     let pool = Pool::new(base.threads);
@@ -1173,7 +1156,7 @@ pub fn run_sharded_campaign_observed(
         // Early-stop evaluation at the shard boundary — deterministic
         // given the shard order, so straight-through and resumed runs
         // agree on exactly which cells run in every later shard.
-        evaluate_stops(&mut cells, base);
+        evaluate_stops(&mut cells, base, &mut observer);
 
         shards_done += 1;
         shards_resumed += resumed as u64;
@@ -1215,21 +1198,22 @@ pub fn run_sharded_campaign_observed(
 /// Fails on I/O problems, a missing shard, a checkpoint failing any
 /// verification step (merge never quarantines — the inputs are other
 /// workers' property and are left untouched), conflicting duplicate
-/// shards, or a conservation violation in the merged tallies.
+/// shards, or a conservation violation in the merged tallies. An
+/// invalid spec, a spec with a worker slice, or no directory at all is
+/// an [`io::ErrorKind::InvalidInput`] error.
 pub fn merge_sharded_campaign(
     spec: &ShardedCampaignSpec,
     dirs: &[PathBuf],
 ) -> io::Result<ShardedReport> {
-    spec.validate();
-    assert!(
+    spec.validate()?;
+    ensure(
         spec.worker.is_none(),
-        "merge covers the whole shard space; give it the spec without a worker slice"
-    );
-    if dirs.is_empty() {
-        return Err(io::Error::other(
-            "merge needs at least one checkpoint directory",
-        ));
-    }
+        "merge covers the whole shard space; give it the spec without a worker slice",
+    )?;
+    ensure(
+        !dirs.is_empty(),
+        "merge needs at least one checkpoint directory",
+    )?;
     let base = &spec.base;
     let fingerprint = spec.fingerprint();
 
@@ -1280,7 +1264,7 @@ pub fn merge_sharded_campaign(
         verify_participation(&ckpt, s, start, end, base.importance, &cells)
             .map_err(|e| io::Error::other(format!("{}: {e}", path.display())))?;
         fold_shard(&mut cells, &ckpt.cells);
-        evaluate_stops(&mut cells, base);
+        evaluate_stops(&mut cells, base, &mut |_| {});
         shards_done += 1;
     }
 
@@ -1438,6 +1422,23 @@ mod tests {
                 "shard_size {shard_size} diverged from the unsharded run"
             );
         }
+
+        // The in-memory campaign is the shard loop at `shard_size =
+        // batch`: importance weights (f64 sums, folded shard by shard)
+        // and early-stop decisions (here two cells run their budget and
+        // two stop early) match it byte for byte.
+        let mut s = tiny_spec();
+        s.importance = true;
+        s.trials_per_cell = 24;
+        s.target_ci_width = Some(0.3);
+        let sharded = ShardedCampaignSpec::new(s.clone(), s.batch);
+        assert_eq!(
+            run_campaign(&s).unwrap().to_json(),
+            run_sharded_campaign(&sharded, None, false)
+                .unwrap()
+                .report
+                .to_json()
+        );
     }
 
     #[test]
@@ -1628,8 +1629,7 @@ mod tests {
         // A lost trial: the budget says 2 but the tally holds 1.
         let mut tally = OutcomeTally::default();
         tally.record(ErrorOutcome::Masked);
-        let err =
-            check_conservation("campaign", "icr-p-ps-s", "gzip", 2, &tally, None).unwrap_err();
+        let err = check_conservation("icr-p-ps-s", "gzip", 2, &tally, None).unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("icr-p-ps-s") && msg.contains("gzip"),
@@ -1643,11 +1643,109 @@ mod tests {
         w.record(ErrorOutcome::Masked, 1.0);
         let mut t2 = OutcomeTally::default();
         t2.record(ErrorOutcome::Masked);
-        let err = check_conservation("campaign", "basep", "gcc", 1, &t2, Some(&w)).unwrap_err();
+        let err = check_conservation("basep", "gcc", 1, &t2, Some(&w)).unwrap_err();
         assert!(err.to_string().contains("disagree"), "got: {err}");
 
         // And the happy path stays silent.
-        check_conservation("campaign", "basep", "gcc", 1, &t2, None).unwrap();
+        check_conservation("basep", "gcc", 1, &t2, None).unwrap();
+    }
+
+    /// Asserts `result` is an `InvalidInput` error mentioning `needle`.
+    fn assert_invalid<T: std::fmt::Debug>(result: io::Result<T>, needle: &str) {
+        let err = result.unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "got: {err}");
+        assert!(err.to_string().contains(needle), "got: {err}");
+    }
+
+    #[test]
+    fn a_spec_without_schemes_is_invalid_input() {
+        let mut spec = tiny_spec();
+        spec.schemes.clear();
+        assert_invalid(run_campaign(&spec), "at least one scheme");
+    }
+
+    #[test]
+    fn a_spec_without_apps_is_invalid_input() {
+        let mut spec = tiny_spec();
+        spec.apps.clear();
+        assert_invalid(run_campaign(&spec), "at least one app");
+    }
+
+    #[test]
+    fn a_zero_trial_budget_is_invalid_input() {
+        let mut spec = tiny_spec();
+        spec.trials_per_cell = 0;
+        assert_invalid(run_campaign(&spec), "at least one trial");
+    }
+
+    #[test]
+    fn a_zero_batch_is_invalid_input() {
+        let mut spec = tiny_spec();
+        spec.batch = 0;
+        assert_invalid(run_campaign(&spec), "batch size");
+    }
+
+    #[test]
+    fn zero_instructions_are_invalid_input() {
+        let mut spec = tiny_spec();
+        spec.instructions = 0;
+        assert_invalid(run_campaign(&spec), "instructions");
+    }
+
+    #[test]
+    fn a_zero_shard_size_is_invalid_input() {
+        let spec = ShardedCampaignSpec::new(tiny_spec(), 0);
+        assert_invalid(run_sharded_campaign(&spec, None, false), "shard size");
+    }
+
+    #[test]
+    fn a_fanout_of_zero_workers_is_invalid_input() {
+        let spec = ShardedCampaignSpec::new(tiny_spec(), 2).with_worker(0, 0);
+        assert_invalid(
+            run_sharded_campaign(&spec, None, false),
+            "at least one worker",
+        );
+    }
+
+    #[test]
+    fn an_out_of_range_worker_index_is_invalid_input() {
+        let spec = ShardedCampaignSpec::new(tiny_spec(), 2).with_worker(2, 2);
+        assert_invalid(run_sharded_campaign(&spec, None, false), "out of range");
+    }
+
+    #[test]
+    fn a_worker_slice_with_early_stopping_is_invalid_input() {
+        let mut base = tiny_spec();
+        base.target_ci_width = Some(0.5);
+        let spec = ShardedCampaignSpec::new(base, 2).with_worker(0, 2);
+        assert_invalid(run_sharded_campaign(&spec, None, false), "early stopping");
+    }
+
+    #[test]
+    fn resume_without_a_directory_is_invalid_input() {
+        let spec = ShardedCampaignSpec::new(tiny_spec(), 2);
+        assert_invalid(
+            run_sharded_campaign(&spec, None, true),
+            "checkpoint directory",
+        );
+    }
+
+    #[test]
+    fn merging_a_worker_slice_is_invalid_input() {
+        let spec = ShardedCampaignSpec::new(tiny_spec(), 2).with_worker(0, 2);
+        assert_invalid(
+            merge_sharded_campaign(&spec, &[scratch("merge_slice")]),
+            "without a worker slice",
+        );
+    }
+
+    #[test]
+    fn merging_no_directories_is_invalid_input() {
+        let spec = ShardedCampaignSpec::new(tiny_spec(), 2);
+        assert_invalid(
+            merge_sharded_campaign(&spec, &[]),
+            "at least one checkpoint",
+        );
     }
 
     #[test]

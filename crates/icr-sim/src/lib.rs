@@ -23,11 +23,13 @@
 //!   `victim_ablation`;
 //! * [`campaign`] — deterministic parallel Monte-Carlo fault-injection
 //!   campaigns ([`CampaignSpec`] → [`run_campaign`] → [`CampaignReport`]),
-//!   exposed by the `icr-campaign` binary; the sharded, checkpointed,
-//!   resumable variant ([`ShardedCampaignSpec`] →
-//!   [`run_sharded_campaign`] → [`ShardedReport`]) partitions the trial
-//!   space into seed-range shards and persists digest-verified
-//!   checkpoints so a killed campaign resumes to byte-identical output;
+//!   exposed by the `icr-campaign` binary. Every campaign runs through
+//!   one shard loop ([`ShardedCampaignSpec`] →
+//!   [`run_sharded_campaign`] → [`ShardedReport`]), which partitions
+//!   the trial space into seed-range shards; given a directory it
+//!   persists digest-verified checkpoints so a killed campaign resumes
+//!   to byte-identical output, and [`run_campaign`] is the same loop in
+//!   memory with one shard per batch;
 //! * [`checkpoint`] — the durable per-shard checkpoint format behind
 //!   resume: versioned `ICRC` header, FNV-1a payload digest, spec
 //!   fingerprint, quarantine-on-corruption;
