@@ -165,8 +165,8 @@ bench-importance-build:
 ## checkpoint directories, then merged restore-only; the two JSON
 ## reports must be byte-identical. The same campaign run in memory
 ## (no --checkpoint) must match the single-process report minus its
-## "sharding" block: both modes run one shard loop, and the shard size
-## is the --batch default (--shard-size needs --checkpoint).
+## one-line "sharding" member: both modes run one shard loop, and the
+## shard size is the --batch default (--shard-size needs --checkpoint).
 CAMPAIGN_FANOUT_ARGS = --schemes basep,icr-p-ps-s --apps gzip --trials 200 \
 	--insts 20000 --batch 10 --seed 7 --importance --quiet
 campaign-fanout:
@@ -187,7 +187,7 @@ campaign-fanout:
 	cmp target/fan-single.json target/fan-merged.json
 	./target/release/icr-campaign $(CAMPAIGN_FANOUT_ARGS) \
 		--json target/fan-plain.json
-	sed '/"sharding": {/,/^  },/d' target/fan-single.json \
+	sed '/^  "sharding": /d' target/fan-single.json \
 		> target/fan-single-unsharded.json
 	cmp target/fan-single-unsharded.json target/fan-plain.json
 	@echo "campaign-fanout: OK (merged worker and in-memory output are byte-identical)"

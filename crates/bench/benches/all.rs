@@ -26,55 +26,8 @@
 
 use icr_sim::exec::Pool;
 use icr_sim::experiment::{figure_runners, ExpOptions};
-use icr_sim::json::{esc, num};
+use icr_sim::json::{esc, num, obj, Value};
 use std::time::Instant;
-
-/// Extracts the number following `"key":` in a one-line JSON document.
-/// A scan, not a parser — the file is machine-written by this bench.
-fn extract_num(doc: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = doc.find(&pat)? + pat.len();
-    let rest = &doc[at..];
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the `[...]` array following `"history":`, brackets included.
-fn extract_history(doc: &str) -> Option<&str> {
-    let at = doc.find("\"history\":[")? + "\"history\":".len();
-    let rest = &doc[at..];
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn label() -> String {
-    if let Ok(l) = std::env::var("ICR_BENCH_LABEL") {
-        return l;
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "local".into())
-}
 
 const HISTORY_KEEP: usize = 20;
 
@@ -85,8 +38,11 @@ fn main() {
         threads: 0,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_all.json");
-    let prev = std::fs::read_to_string(path).ok();
-    let prev_total = prev.as_deref().and_then(|d| extract_num(d, "total_cold_s"));
+    let prev = icr_bench::read_previous(path);
+    let prev_total = match prev.as_ref().and_then(|d| d.get("total_cold_s")) {
+        Some(Value::Num(tok)) => tok.parse::<f64>().ok(),
+        _ => None,
+    };
 
     let runners = figure_runners();
     let ids: Vec<&'static str> = runners.iter().map(|(id, _)| *id).collect();
@@ -108,29 +64,19 @@ fn main() {
         .collect();
 
     // Carry the previous history forward, appending this run.
-    let mut history: Vec<String> = prev
-        .as_deref()
-        .and_then(extract_history)
-        .map(|h| h.trim_start_matches('[').trim_end_matches(']'))
-        .into_iter()
-        .flat_map(split_history_entries)
-        .collect();
-    history.push(format!(
-        "{{\"label\":{},\"total_cold_s\":{}}}",
-        esc(&label()),
-        num(total_s)
-    ));
-    if history.len() > HISTORY_KEEP {
-        history.drain(..history.len() - HISTORY_KEEP);
-    }
+    let entry = obj([
+        ("label", icr_bench::label().into()),
+        ("total_cold_s", total_s.into()),
+    ]);
+    let history = icr_bench::carry_history(prev.as_ref(), entry, HISTORY_KEEP);
 
     let json = format!(
-        "{{\"bench\":\"all\",\"instructions\":{},\"threads\":{},\"total_cold_s\":{},\"figures\":[{}],\"history\":[{}]}}",
+        "{{\"bench\":\"all\",\"instructions\":{},\"threads\":{},\"total_cold_s\":{},\"figures\":[{}],\"history\":{}}}",
         opts.instructions,
         Pool::new(opts.threads).threads(),
         num(total_s),
         figures.join(","),
-        history.join(","),
+        history,
     );
     std::fs::write(path, format!("{json}\n")).expect("write BENCH_all.json");
 
@@ -163,32 +109,4 @@ fn main() {
             None => println!("gate skipped: no committed baseline to compare against"),
         }
     }
-}
-
-/// Splits the comma-joined `{...}` entries of a flat history array.
-/// Entries contain no nested braces, so a brace-depth scan suffices.
-fn split_history_entries(inner: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(inner[s..=i].to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }

@@ -21,7 +21,7 @@
 //! prior totals forward like `BENCH_all.json`.
 
 use icr_core::Scheme;
-use icr_sim::json::{esc, num};
+use icr_sim::json::{num, obj};
 use icr_sim::{run_sharded_campaign, CampaignSpec, ShardedCampaignSpec};
 use std::time::Instant;
 
@@ -43,68 +43,6 @@ fn spec(master_seed: u64) -> ShardedCampaignSpec {
     );
     base.instructions = INSTRUCTIONS;
     ShardedCampaignSpec::new(base, SHARD_SIZE)
-}
-
-fn label() -> String {
-    if let Ok(l) = std::env::var("ICR_BENCH_LABEL") {
-        return l;
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "local".into())
-}
-
-/// Extracts the `[...]` array following `"history":`, brackets included.
-fn extract_history(doc: &str) -> Option<&str> {
-    let at = doc.find("\"history\":[")? + "\"history\":".len();
-    let rest = &doc[at..];
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits the comma-joined `{...}` entries of a flat history array.
-fn split_history_entries(inner: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(inner[s..=i].to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 fn main() {
@@ -161,34 +99,24 @@ fn main() {
         resume_s
     );
 
-    let prev = std::fs::read_to_string(path).ok();
-    let mut history: Vec<String> = prev
-        .as_deref()
-        .and_then(extract_history)
-        .map(|h| h.trim_start_matches('[').trim_end_matches(']'))
-        .into_iter()
-        .flat_map(split_history_entries)
-        .collect();
-    history.push(format!(
-        "{{\"label\":{},\"checkpointed_s\":{},\"overhead_pct\":{}}}",
-        esc(&label()),
-        num(ckpt_s),
-        num(overhead_pct),
-    ));
-    if history.len() > HISTORY_KEEP {
-        history.drain(..history.len() - HISTORY_KEEP);
-    }
+    let entry = obj([
+        ("label", icr_bench::label().into()),
+        ("checkpointed_s", ckpt_s.into()),
+        ("overhead_pct", overhead_pct.into()),
+    ]);
+    let prev = icr_bench::read_previous(path);
+    let history = icr_bench::carry_history(prev.as_ref(), entry, HISTORY_KEEP);
 
     let json = format!(
         "{{\"bench\":\"campaign\",\"trials\":{total_trials},\"instructions\":{INSTRUCTIONS},\
          \"shard_size\":{SHARD_SIZE},\"in_memory_s\":{},\"checkpointed_s\":{},\"resume_s\":{},\
-         \"trials_per_s\":{},\"checkpoint_overhead_pct\":{},\"history\":[{}]}}",
+         \"trials_per_s\":{},\"checkpoint_overhead_pct\":{},\"history\":{}}}",
         num(plain_s),
         num(ckpt_s),
         num(resume_s),
         num(trials_per_s),
         num(overhead_pct),
-        history.join(","),
+        history,
     );
     std::fs::write(path, format!("{json}\n")).expect("write BENCH_campaign.json");
     println!("-> {path}");

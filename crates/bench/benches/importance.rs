@@ -29,7 +29,7 @@
 //! summed across repetitions before the speedup is formed.
 
 use icr_core::Scheme;
-use icr_sim::json::{esc, num};
+use icr_sim::json::{esc, num, obj};
 use icr_sim::{run_campaign, CampaignSpec};
 
 const REPS: u64 = 3;
@@ -62,68 +62,6 @@ fn spec(master_seed: u64, importance: bool) -> CampaignSpec {
     spec.target_ci_width = Some(TARGET_CI_WIDTH);
     spec.importance = importance;
     spec
-}
-
-fn label() -> String {
-    if let Ok(l) = std::env::var("ICR_BENCH_LABEL") {
-        return l;
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "local".into())
-}
-
-/// Extracts the `[...]` array following `"history":`, brackets included.
-fn extract_history(doc: &str) -> Option<&str> {
-    let at = doc.find("\"history\":[")? + "\"history\":".len();
-    let rest = &doc[at..];
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits the comma-joined `{...}` entries of a flat history array.
-fn split_history_entries(inner: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(inner[s..=i].to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
 }
 
 fn main() {
@@ -188,32 +126,23 @@ fn main() {
         cell_names.len()
     );
 
-    let prev = std::fs::read_to_string(path).ok();
-    let mut history: Vec<String> = prev
-        .as_deref()
-        .and_then(extract_history)
-        .map(|h| h.trim_start_matches('[').trim_end_matches(']'))
-        .into_iter()
-        .flat_map(split_history_entries)
-        .collect();
-    history.push(format!(
-        "{{\"label\":{},\"overall_speedup\":{},\"cells_at_gate\":{winners}}}",
-        esc(&label()),
-        num(total_speedup),
-    ));
-    if history.len() > HISTORY_KEEP {
-        history.drain(..history.len() - HISTORY_KEEP);
-    }
+    let entry = obj([
+        ("label", icr_bench::label().into()),
+        ("overall_speedup", total_speedup.into()),
+        ("cells_at_gate", winners.into()),
+    ]);
+    let prev = icr_bench::read_previous(path);
+    let history = icr_bench::carry_history(prev.as_ref(), entry, HISTORY_KEEP);
 
     let json = format!(
         "{{\"bench\":\"importance\",\"target_ci_width\":{},\"instructions\":{INSTRUCTIONS},\
          \"batch\":{BATCH},\"reps\":{REPS},\"speedup_gate\":{},\"overall_speedup\":{},\
-         \"cells\":[{}],\"history\":[{}]}}",
+         \"cells\":[{}],\"history\":{}}}",
         num(TARGET_CI_WIDTH),
         num(SPEEDUP_GATE),
         num(total_speedup),
         cells_json.join(","),
-        history.join(","),
+        history,
     );
     std::fs::write(path, format!("{json}\n")).expect("write BENCH_importance.json");
     println!("-> {path}");

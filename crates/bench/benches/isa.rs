@@ -23,21 +23,6 @@ use icr_sim::json::{esc, num};
 use icr_trace::disk;
 use std::time::Instant;
 
-fn label() -> String {
-    if let Ok(l) = std::env::var("ICR_BENCH_LABEL") {
-        return l;
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "local".into())
-}
-
 const SEED: u64 = 42;
 
 /// Runs `f` three times and returns (best wall-clock seconds, last
@@ -94,7 +79,7 @@ fn main() {
 
     let json = format!(
         "{{\"bench\":\"isa\",\"label\":{},\"seed\":{SEED},\"total_interpret_s\":{},\"total_replay_s\":{},\"kernels\":[{}]}}",
-        esc(&label()),
+        esc(&icr_bench::label()),
         num(total_interp),
         num(total_replay),
         rows.join(","),

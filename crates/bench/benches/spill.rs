@@ -30,21 +30,6 @@ use icr_sim::json::{esc, num};
 use icr_sim::{run_sim, SimConfig};
 use std::time::Instant;
 
-fn label() -> String {
-    if let Ok(l) = std::env::var("ICR_BENCH_LABEL") {
-        return l;
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "local".into())
-}
-
 const SEED: u64 = 42;
 const INSTRUCTIONS: u64 = 100_000;
 const APPS: [&str; 3] = ["gzip", "vpr", "mcf"];
@@ -115,7 +100,7 @@ fn main() {
     let json = format!(
         "{{\"bench\":\"spill\",\"label\":{},\"seed\":{SEED},\"instructions\":{INSTRUCTIONS},\
          \"total_dl1_only_s\":{},\"total_spill_s\":{},\"apps\":[{}]}}",
-        esc(&label()),
+        esc(&icr_bench::label()),
         num(total_dl1),
         num(total_spill),
         rows.join(","),

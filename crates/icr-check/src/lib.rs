@@ -25,10 +25,9 @@
 //! it audits. The simulator side translates its state into the plain
 //! [`RealState`] structs defined here.
 //!
-//! Two more free-standing checks round out the audit surface:
+//! One more free-standing check rounds out the audit surface:
 //! [`tally_conserved`] (fault-campaign outcome conservation: injected =
-//! recovered + masked + lost + silent) and [`json_complete`] (a
-//! truncated report file is not a well-formed JSON document).
+//! recovered + masked + lost + silent).
 
 mod model;
 mod write_buffer;
@@ -84,48 +83,6 @@ pub fn tally_conserved(
     Ok(())
 }
 
-/// `true` when `s` is one complete JSON value (object, array, string,
-/// or bare literal) with balanced structure — the well-formedness a
-/// *truncated* report file always fails.
-///
-/// This is a linear scan, not a parser: it tracks string/escape state
-/// and brace/bracket depth. It accepts every document the workspace's
-/// `to_json` emitters produce and rejects any strict prefix of them,
-/// which is all the atomic-write audit needs.
-pub fn json_complete(s: &str) -> bool {
-    let t = s.trim();
-    if t.is_empty() {
-        return false;
-    }
-    let mut depth: i64 = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for c in t.chars() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_string = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    !in_string && depth == 0 && !t.ends_with(',') && !t.ends_with(':')
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,29 +102,5 @@ mod tests {
         // More losses than delivered faults — the Wilson underflow shape.
         assert!(tally_conserved(4, 2, 0, 0, 3, 2).is_err());
         assert!(tally_conserved(3, 5, 0, 0, 0, 0).is_err());
-    }
-
-    #[test]
-    fn json_complete_accepts_whole_documents() {
-        assert!(json_complete("{}"));
-        assert!(json_complete("{\"a\": [1, 2, {\"b\": \"x}y\"}]}\n"));
-        assert!(json_complete("[\n{\"a\": 1},\n{\"b\": 2}\n]"));
-        assert!(json_complete("null"));
-        assert!(json_complete("\"a string with \\\" and {\""));
-    }
-
-    #[test]
-    fn json_complete_rejects_truncations() {
-        let doc = "{\"cells\": [{\"app\": \"gzip\", \"v\": 1.5}, {\"app\": \"gcc\", \"v\": 2.0}]}";
-        assert!(json_complete(doc));
-        for cut in 1..doc.len() {
-            assert!(
-                !json_complete(&doc[..cut]),
-                "prefix of length {cut} accepted: {}",
-                &doc[..cut]
-            );
-        }
-        assert!(!json_complete(""));
-        assert!(!json_complete("   "));
     }
 }

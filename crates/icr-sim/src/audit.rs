@@ -17,6 +17,7 @@
 
 use crate::engine::Engine;
 use crate::exec::Pool;
+use crate::json::{self, obj};
 use crate::simulator::{run_sim, CheckMode, SimConfig};
 use icr_check::{
     Counters, RealLine, RealSetExport, RealSets, RealState, RealWriteBuffer, RefConfig, RefModel,
@@ -434,51 +435,30 @@ impl AuditReport {
         out
     }
 
-    /// The report as JSON, via the shared [`crate::json`] primitives.
-    /// Deterministic for a given spec.
+    /// The report as JSON, printed by [`json::pretty`]. Deterministic
+    /// for a given spec.
     pub fn to_json(&self) -> String {
-        use crate::json::esc;
         let spec = &self.spec;
-        let schemes = spec
-            .schemes
-            .iter()
-            .map(|s| esc(&s.name()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let apps = spec
-            .apps
-            .iter()
-            .map(|a| esc(a))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let mut out = String::new();
-        out.push_str("{\n  \"audit\": {\n");
-        out.push_str(&format!("    \"seed\": {},\n", spec.seed));
-        out.push_str(&format!("    \"instructions\": {},\n", spec.instructions));
-        out.push_str(&format!("    \"schemes\": [{schemes}],\n"));
-        out.push_str(&format!("    \"apps\": [{apps}],\n"));
-        out.push_str(&format!(
-            "    \"total_accesses_checked\": {},\n",
-            self.total_accesses_checked()
-        ));
-        out.push_str("    \"divergences\": 0\n");
-        out.push_str("  },\n  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"scheme\": {}, \"app\": {}, \"accesses_checked\": {}, \"cycles\": {}}}{}\n",
-                esc(&cell.scheme.name()),
-                esc(&cell.app),
-                cell.accesses_checked,
-                cell.cycles,
-                if i + 1 == self.cells.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}");
-        debug_assert!(
-            icr_check::json_complete(&out),
-            "audit JSON must be complete"
-        );
-        out
+        let cells = self.cells.iter().map(|c| {
+            obj([
+                ("scheme", c.scheme.name().into()),
+                ("app", c.app.as_str().into()),
+                ("accesses_checked", c.accesses_checked.into()),
+                ("cycles", c.cycles.into()),
+            ])
+        });
+        let header = obj([
+            ("seed", spec.seed.into()),
+            ("instructions", spec.instructions.into()),
+            ("schemes", json::arr(spec.schemes.iter().map(|s| s.name()))),
+            ("apps", json::arr(spec.apps.iter().map(String::as_str))),
+            (
+                "total_accesses_checked",
+                self.total_accesses_checked().into(),
+            ),
+            ("divergences", 0u64.into()),
+        ]);
+        json::pretty(&obj([("audit", header), ("cells", json::arr(cells))]))
     }
 }
 
@@ -514,7 +494,7 @@ mod tests {
         let a = run_audit(&tiny_spec(vec![Scheme::BASE_P]));
         let b = run_audit(&tiny_spec(vec![Scheme::BASE_P]));
         assert_eq!(a.to_json(), b.to_json());
-        assert!(icr_check::json_complete(&a.to_json()));
+        assert!(crate::json::parse(&a.to_json()).is_ok());
         assert!(a.summary_table().contains("0 divergences"));
     }
 

@@ -216,10 +216,7 @@ fn main() -> ExitCode {
             spec.threads = opts.threads;
             let report = run_vuln(&spec);
             if let Some(path) = &json {
-                // `to_json` already ends with a newline; trim it so the
-                // shared writer appends exactly one.
-                write_output(report.to_json().trim_end_matches('\n'), path)
-                    .expect("json output writable");
+                write_output(&report.to_json(), path).expect("json output writable");
             } else {
                 println!(
                     "Analytic vulnerability profile ({} insts/app, seed {})",

@@ -77,6 +77,7 @@
 
 use crate::checkpoint::{self, ShardCellState, ShardCheckpoint};
 use crate::exec::Pool;
+use crate::json::{self, obj, Value};
 use crate::simulator::{store_working_set, FaultConfig, SimConfig};
 use crate::stats::{wilson_ci95, wilson_ci95_f};
 use crate::tape::{run_trial_taped, Tape};
@@ -514,128 +515,75 @@ impl CampaignReport {
         out
     }
 
-    /// The report as JSON, via the shared [`crate::json`] primitives (the
-    /// workspace deliberately carries no JSON dependency) and free of
-    /// timing or host information, so two runs of the same spec produce
-    /// byte-identical files.
+    /// The report as JSON, printed by [`json::pretty`] and free of timing
+    /// or host information, so two runs of the same spec produce
+    /// byte-identical files. Unlike the other reports it ends in a
+    /// newline; perfbench's recorded campaign digest covers that byte.
     pub fn to_json(&self) -> String {
-        self.to_json_sections("")
+        json::pretty(&Value::Obj(self.members())) + "\n"
     }
 
-    /// [`to_json`](CampaignReport::to_json) with `extra` inserted
-    /// verbatim between the `campaign` and `cells` sections — how the
-    /// sharded report adds its `sharding` block without perturbing a
-    /// single byte of the unsharded format.
-    fn to_json_sections(&self, extra: &str) -> String {
-        use crate::json::{esc, num};
+    /// The report's top-level members, `campaign` then `cells`.
+    fn members(&self) -> Vec<(String, Value)> {
         let spec = &self.spec;
-        let schemes = spec
-            .schemes
-            .iter()
-            .map(|s| esc(&s.name()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let apps = spec
-            .apps
-            .iter()
-            .map(|a| esc(a))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let mut out = String::new();
-        out.push_str("{\n  \"campaign\": {\n");
-        out.push_str(&format!("    \"master_seed\": {},\n", spec.master_seed));
-        out.push_str(&format!("    \"instructions\": {},\n", spec.instructions));
-        out.push_str(&format!("    \"model\": {},\n", esc(spec.model.name())));
-        out.push_str(&format!(
-            "    \"p_per_cycle\": {},\n",
-            num(spec.effective_p())
-        ));
-        out.push_str(&format!(
-            "    \"trials_per_cell\": {},\n",
-            spec.trials_per_cell
-        ));
-        out.push_str(&format!("    \"batch\": {},\n", spec.batch));
-        out.push_str(&format!(
-            "    \"target_ci_width\": {},\n",
-            spec.target_ci_width.map_or("null".into(), num)
-        ));
-        out.push_str(&format!("    \"oracle\": {},\n", spec.oracle));
+        let target = spec.target_ci_width.map_or(Value::Null, Value::from);
+        let mut campaign = vec![
+            ("master_seed", spec.master_seed.into()),
+            ("instructions", spec.instructions.into()),
+            ("model", spec.model.name().into()),
+            ("p_per_cycle", spec.effective_p().into()),
+            ("trials_per_cell", spec.trials_per_cell.into()),
+            ("batch", spec.batch.into()),
+            ("target_ci_width", target),
+            ("oracle", spec.oracle.into()),
+        ];
         // Gated on the mode so uniform reports keep their historical
         // bytes exactly.
         if spec.importance {
-            out.push_str("    \"importance\": true,\n");
+            campaign.push(("importance", true.into()));
         }
-        out.push_str(&format!("    \"schemes\": [{schemes}],\n"));
-        out.push_str(&format!("    \"apps\": [{apps}]\n"));
-        out.push_str("  },\n");
-        out.push_str(extra);
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
+        campaign.push(("schemes", json::arr(spec.schemes.iter().map(|s| s.name()))));
+        campaign.push(("apps", json::arr(spec.apps.iter().map(String::as_str))));
+        let cells = self.cells.iter().map(|cell| {
+            let tally = &cell.tally;
             let (lo, hi) = cell.wilson95();
-            out.push_str("    {\n");
-            out.push_str(&format!(
-                "      \"scheme\": {},\n",
-                esc(&cell.scheme.name())
-            ));
-            out.push_str(&format!("      \"app\": {},\n", esc(&cell.app)));
-            out.push_str(&format!("      \"trials\": {},\n", cell.trials));
-            out.push_str(&format!(
-                "      \"stopped_early\": {},\n",
-                cell.stopped_early
-            ));
-            out.push_str(&format!("      \"injected\": {},\n", cell.tally.injected()));
-            out.push_str(&format!(
-                "      \"recovered\": {},\n",
-                cell.tally.recovered()
-            ));
-            out.push_str("      \"outcomes\": {");
             let outcomes = ErrorOutcome::ALL
                 .iter()
-                .map(|&o| format!("\"{}\": {}", o.name(), cell.tally.count(o)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&outcomes);
-            out.push_str("},\n");
-            out.push_str(&format!(
-                "      \"survived_fraction\": {},\n",
-                num(cell.tally.survived_fraction())
-            ));
-            out.push_str(&format!(
-                "      \"recovered_fraction\": {},\n",
-                num(cell.tally.recovered_fraction())
-            ));
+                .map(|&o| (o.name(), tally.count(o).into()));
+            let mut members = vec![
+                ("scheme", cell.scheme.name().into()),
+                ("app", cell.app.as_str().into()),
+                ("trials", cell.trials.into()),
+                ("stopped_early", cell.stopped_early.into()),
+                ("injected", tally.injected().into()),
+                ("recovered", tally.recovered().into()),
+                ("outcomes", obj(outcomes)),
+                ("survived_fraction", tally.survived_fraction().into()),
+                ("recovered_fraction", tally.recovered_fraction().into()),
+            ];
             if let Some(w) = &cell.weighted {
                 let est = w.survived_estimate();
                 let (wlo, whi) = cell
                     .weighted_wilson95()
                     .expect("weighted cell has a weighted interval");
-                let arr = |xs: [f64; ErrorOutcome::ALL.len()]| {
-                    xs.iter().map(|&x| num(x)).collect::<Vec<_>>().join(", ")
-                };
-                out.push_str("      \"importance\": {\n");
-                out.push_str(&format!("        \"weights\": [{}],\n", arr(w.weights())));
-                out.push_str(&format!(
-                    "        \"weight_squares\": [{}],\n",
-                    arr(w.weight_squares())
+                members.push((
+                    "importance",
+                    obj([
+                        ("weights", json::arr(w.weights())),
+                        ("weight_squares", json::arr(w.weight_squares())),
+                        ("survived_weighted", est.p.into()),
+                        ("n_eff", est.n_eff.into()),
+                        ("wilson95_weighted", json::arr([wlo, whi])),
+                    ]),
                 ));
-                out.push_str(&format!("        \"survived_weighted\": {},\n", num(est.p)));
-                out.push_str(&format!("        \"n_eff\": {},\n", num(est.n_eff)));
-                out.push_str(&format!(
-                    "        \"wilson95_weighted\": [{}, {}]\n",
-                    num(wlo),
-                    num(whi)
-                ));
-                out.push_str("      },\n");
             }
-            out.push_str(&format!("      \"wilson95\": [{}, {}]\n", num(lo), num(hi)));
-            out.push_str(if i + 1 < self.cells.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            members.push(("wilson95", json::arr([lo, hi])));
+            obj(members)
+        });
+        vec![
+            ("campaign".into(), obj(campaign)),
+            ("cells".into(), json::arr(cells)),
+        ]
     }
 }
 
@@ -720,7 +668,7 @@ impl ShardedCampaignSpec {
             b.master_seed,
             b.instructions,
             b.model.name(),
-            crate::json::num(b.effective_p()),
+            json::num(b.effective_p()),
             b.trials_per_cell,
             b.target_ci_width,
             b.oracle,
@@ -836,18 +784,23 @@ pub struct ShardedReport {
 
 impl ShardedReport {
     /// The report as JSON: the unsharded campaign document plus a
-    /// `sharding` section. Identical bytes whether the run was
-    /// straight-through or killed and resumed any number of times.
+    /// `sharding` section after `campaign`. Identical bytes whether the
+    /// run was straight-through or killed and resumed any number of
+    /// times.
     pub fn to_json(&self) -> String {
-        let worker = match self.worker {
-            Some((i, n)) => format!("    \"worker\": [{i}, {n}],\n"),
-            None => String::new(),
-        };
-        let sharding = format!(
-            "  \"sharding\": {{\n{worker}    \"shard_size\": {},\n    \"shards_total\": {},\n    \"shards_done\": {},\n    \"complete\": {}\n  }},\n",
-            self.shard_size, self.shards_total, self.shards_done, self.complete
-        );
-        self.report.to_json_sections(&sharding)
+        let mut sharding = Vec::new();
+        if let Some((i, n)) = self.worker {
+            sharding.push(("worker", json::arr([i, n])));
+        }
+        sharding.extend([
+            ("shard_size", self.shard_size.into()),
+            ("shards_total", self.shards_total.into()),
+            ("shards_done", self.shards_done.into()),
+            ("complete", self.complete.into()),
+        ]);
+        let mut members = self.report.members();
+        members.insert(1, ("sharding".into(), obj(sharding)));
+        json::pretty(&Value::Obj(members)) + "\n"
     }
 }
 

@@ -1,11 +1,15 @@
 //! The one JSON emission path shared by every report type and binary.
 //!
 //! The workspace deliberately carries no JSON dependency, so serialisation
-//! is hand-rolled — but in exactly one place. [`esc`] and [`num`] are the
-//! primitives every `to_json` builds on (strings escaped per RFC 8259,
-//! non-finite numbers mapped to `null`), and [`write_output`] is the one
-//! `--json <path>` convention the three binaries converge on: a path
-//! writes a file, `-` writes stdout, and both receive identical bytes.
+//! is hand-rolled — but in exactly one place. Every report builds a
+//! [`Value`] (the `From` impls turn counters, floats and strings into
+//! leaves) and prints it with one of two layouts: [`Value::to_json`]
+//! (compact, for figures and checkpoints) or [`pretty`] (reports). Both
+//! escape strings through [`esc`] (RFC 8259) and map non-finite floats
+//! to `null` through [`num`]. [`parse`] is the matching strict reader,
+//! and [`write_output`] is the one `--json <path>` convention the three
+//! binaries converge on: a path writes a file, `-` writes stdout, and
+//! both receive identical bytes.
 
 use std::io::Write;
 
@@ -61,6 +65,106 @@ impl Value {
             }
         }
     }
+}
+
+macro_rules! from_integer {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(v: $t) -> Self {
+                Value::Num(v.to_string())
+            }
+        }
+    )*};
+}
+
+from_integer!(u64, u128, usize);
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Self {
+        Value::Bool(v)
+    }
+}
+
+/// A non-finite float becomes [`Value::Null`], as [`num`] writes it.
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        if v.is_finite() {
+            Value::Num(num(v))
+        } else {
+            Value::Null
+        }
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Str(v.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Self {
+        Value::Str(v)
+    }
+}
+
+/// An object from `(key, value)` members, in order.
+pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+/// An array of `items`, each converted through its `From` impl.
+pub fn arr<T: Into<Value>>(items: impl IntoIterator<Item = T>) -> Value {
+    Value::Arr(items.into_iter().map(Into::into).collect())
+}
+
+/// Serialises `v` in the reports' layout, by one rule: a container that
+/// holds another container is written one member per line, indented two
+/// spaces per level; any other container goes on one line, with `", "`
+/// between members and `": "` after keys. Scalars are written as by
+/// [`Value::to_json`]. No trailing newline.
+pub fn pretty(v: &Value) -> String {
+    let mut out = String::new();
+    write_pretty(v, 0, &mut out);
+    out
+}
+
+fn write_pretty(v: &Value, depth: usize, out: &mut String) {
+    let (open, close, members): (char, char, Vec<(Option<&String>, &Value)>) = match v {
+        Value::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+        Value::Obj(m) => ('{', '}', m.iter().map(|(k, v)| (Some(k), v)).collect()),
+        scalar => return out.push_str(&scalar.to_json()),
+    };
+    let nested = members
+        .iter()
+        .any(|(_, v)| matches!(v, Value::Arr(_) | Value::Obj(_)));
+    let (sep, lead) = if nested {
+        (",", format!("\n{}", "  ".repeat(depth + 1)))
+    } else {
+        (", ", String::new())
+    };
+    out.push(open);
+    for (i, (key, v)) in members.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        out.push_str(&lead);
+        if let Some(key) = key {
+            out.push_str(&esc(key));
+            out.push_str(": ");
+        }
+        write_pretty(v, depth + 1, out);
+    }
+    if nested {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(close);
 }
 
 /// Parses one complete JSON document (trailing whitespace allowed,
@@ -406,6 +510,57 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn pretty_breaks_only_containers_that_hold_containers() {
+        let v =
+            parse(r#"{"a": 1, "b": {"c": [1, 2], "d": {"e": true}}, "f": ["x", null]}"#).unwrap();
+        assert_eq!(
+            pretty(&v),
+            "{\n  \"a\": 1,\n  \"b\": {\n    \"c\": [1, 2],\n    \"d\": {\"e\": true}\n  },\n  \"f\": [\"x\", null]\n}"
+        );
+        let cells = parse(r#"[{"k": 1, "v": -2.5e3}, {"k": 2, "v": 0}]"#).unwrap();
+        assert_eq!(
+            pretty(&cells),
+            "[\n  {\"k\": 1, \"v\": -2.5e3},\n  {\"k\": 2, \"v\": 0}\n]"
+        );
+    }
+
+    #[test]
+    fn pretty_writes_empty_containers_and_scalars_inline() {
+        assert_eq!(pretty(&Value::Arr(vec![])), "[]");
+        assert_eq!(pretty(&Value::Obj(vec![])), "{}");
+        let v = parse(r#"{"a": [], "b": {}}"#).unwrap();
+        assert_eq!(pretty(&v), "{\n  \"a\": [],\n  \"b\": {}\n}");
+        assert_eq!(pretty(&Value::from("s")), "\"s\"");
+        assert_eq!(pretty(&Value::from(7u64)), "7");
+    }
+
+    #[test]
+    fn pretty_escapes_keys_and_round_trips() {
+        let v = Value::Obj(vec![
+            ("quo\"te".into(), Value::from("line\nbreak")),
+            ("tab\t".into(), Value::Arr(vec![Value::from(1.5)])),
+        ]);
+        let doc = pretty(&v);
+        assert_eq!(
+            doc,
+            "{\n  \"quo\\\"te\": \"line\\nbreak\",\n  \"tab\\t\": [1.5]\n}"
+        );
+        assert_eq!(parse(&doc).unwrap(), v);
+    }
+
+    #[test]
+    fn from_impls_write_the_tokens_num_writes() {
+        assert_eq!(Value::from(u64::MAX).to_json(), u64::MAX.to_string());
+        assert_eq!(Value::from(u128::MAX).to_json(), u128::MAX.to_string());
+        assert_eq!(Value::from(3usize), Value::Num("3".into()));
+        assert_eq!(Value::from(0.1 + 0.2).to_json(), num(0.1 + 0.2));
+        assert_eq!(Value::from(f64::NAN), Value::Null);
+        assert_eq!(Value::from(f64::NEG_INFINITY), Value::Null);
+        assert_eq!(Value::from(true), Value::Bool(true));
+        assert_eq!(Value::from(String::from("x")), Value::from("x"));
     }
 
     #[test]

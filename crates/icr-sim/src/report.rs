@@ -1,6 +1,7 @@
 //! Structured experiment output: each paper figure/table becomes a
 //! [`FigureResult`] that can be rendered as an aligned text table.
 
+use crate::json::{self, obj};
 use std::fmt;
 
 /// One plotted series: a label and a value per x-position.
@@ -67,34 +68,24 @@ impl FigureResult {
 }
 
 impl FigureResult {
-    /// Serialises the figure as a compact JSON object via the shared
-    /// [`crate::json`] primitives (the workspace deliberately carries no
-    /// JSON dependency). Strings are escaped per RFC 8259; non-finite
-    /// values become `null`.
+    /// Serialises the figure as a compact JSON object
+    /// ([`json::Value::to_json`]). Non-finite values become `null`.
     pub fn to_json(&self) -> String {
-        use crate::json::{esc, num};
-        let xs = self.xs.iter().map(|x| esc(x)).collect::<Vec<_>>().join(",");
-        let series = self
-            .series
-            .iter()
-            .map(|s| {
-                let vals = s
-                    .values
-                    .iter()
-                    .map(|&v| num(v))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!("{{\"label\":{},\"values\":[{vals}]}}", esc(&s.label))
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"id\":{},\"title\":{},\"unit\":{},\"xs\":[{xs}],\"series\":[{series}],\"notes\":{}}}",
-            esc(&self.id),
-            esc(&self.title),
-            esc(&self.unit),
-            esc(&self.notes)
-        )
+        let series = self.series.iter().map(|s| {
+            obj([
+                ("label", s.label.as_str().into()),
+                ("values", json::arr(s.values.iter().copied())),
+            ])
+        });
+        obj([
+            ("id", self.id.as_str().into()),
+            ("title", self.title.as_str().into()),
+            ("unit", self.unit.as_str().into()),
+            ("xs", json::arr(self.xs.iter().map(String::as_str))),
+            ("series", json::arr(series)),
+            ("notes", self.notes.as_str().into()),
+        ])
+        .to_json()
     }
 }
 

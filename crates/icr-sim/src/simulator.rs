@@ -2,6 +2,7 @@
 //! plus optional fault injection. [`run_sim`] runs it to completion, and
 //! [`run_trial`] runs a one-shot fault trial until its outcome is fixed.
 
+use crate::json::{self, obj};
 use crate::tape::{Event, Recorder};
 use icr_core::{DataL1, DataL1Config, ErrorOutcome, WritePolicy};
 use icr_cpu::{CpuConfig, DataMemory, InstrMemory, Pipeline, PipelineStats};
@@ -277,77 +278,72 @@ impl SimResult {
     /// Serialises the run as one JSON object — the `icr-run --json`
     /// payload, mirroring the sections of the text report.
     pub fn to_json(&self) -> String {
-        use crate::json::{esc, num};
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"app\": {},\n", esc(&self.app)));
-        s.push_str(&format!("  \"scheme\": {},\n", esc(&self.scheme)));
-        s.push_str(&format!(
-            "  \"core\": {{\"cycles\": {}, \"committed\": {}, \"ipc\": {}, \
-             \"mispredicts\": {}, \"mispredict_rate\": {}, \"mean_load_latency\": {}}},\n",
-            self.pipeline.cycles,
-            self.pipeline.committed,
-            num(self.pipeline.ipc()),
-            self.pipeline.mispredicts,
-            num(self.pipeline.mispredict_rate()),
-            num(self.pipeline.mean_load_latency()),
-        ));
-        s.push_str(&format!(
-            "  \"dl1\": {{\"accesses\": {}, \"loads\": {}, \"stores\": {}, \
-             \"miss_rate\": {}, \"writebacks\": {}}},\n",
-            self.icr.cache.accesses(),
-            self.icr.cache.read_accesses,
-            self.icr.cache.write_accesses,
-            num(self.icr.miss_rate()),
-            self.icr.writebacks,
-        ));
-        s.push_str(&format!(
-            "  \"replication\": {{\"attempts\": {}, \"ability\": {}, \
-             \"replicas_created\": {}, \"replica_updates\": {}, \"replica_evictions\": {}, \
-             \"loads_with_replica\": {}, \"misses_served_by_replica\": {}}},\n",
-            self.icr.replication_attempts,
-            num(self.icr.replication_ability()),
-            self.icr.replicas_created,
-            self.icr.replica_updates,
-            self.icr.replica_evictions,
-            num(self.icr.loads_with_replica()),
-            self.icr.misses_served_by_replica,
-        ));
-        s.push_str(&format!(
-            "  \"reliability\": {{\"faults_injected\": {}, \"errors_detected\": {}, \
-             \"corrected_ecc\": {}, \"recovered_replica\": {}, \"recovered_l2\": {}, \
-             \"scrub_heals\": {}, \"unrecoverable_loads\": {}, \
-             \"unrecoverable_load_fraction\": {}, \"avg_vulnerable_words\": {}}},\n",
-            self.faults_injected,
-            self.icr.errors_detected,
-            self.icr.errors_corrected_ecc,
-            self.icr.errors_recovered_replica,
-            self.icr.errors_recovered_l2,
-            self.icr.scrub_heals,
-            self.icr.unrecoverable_loads,
-            num(self.icr.unrecoverable_load_fraction()),
-            num(self.avg_vulnerable_words),
-        ));
-        s.push_str(&format!(
-            "  \"memory\": {{\"l2_accesses\": {}, \"l2_miss_rate\": {}, \
-             \"l1i_miss_rate\": {}, \"memory_reads\": {}, \"memory_writes\": {}}},\n",
-            self.l2.accesses(),
-            num(self.l2.miss_rate()),
-            num(self.l1i.miss_rate()),
-            self.memory_reads,
-            self.memory_writes,
-        ));
-        s.push_str(&format!(
-            "  \"energy\": {{\"l1_reads\": {}, \"l1_writes\": {}, \"parity_ops\": {}, \
-             \"ecc_ops\": {}, \"l2_accesses\": {}}}\n",
-            self.energy_counts.l1_reads,
-            self.energy_counts.l1_writes,
-            self.energy_counts.parity_ops,
-            self.energy_counts.ecc_ops,
-            self.energy_counts.l2_accesses,
-        ));
-        s.push('}');
-        s
+        let (p, c, e) = (&self.pipeline, &self.icr, &self.energy_counts);
+        let core = obj([
+            ("cycles", p.cycles.into()),
+            ("committed", p.committed.into()),
+            ("ipc", p.ipc().into()),
+            ("mispredicts", p.mispredicts.into()),
+            ("mispredict_rate", p.mispredict_rate().into()),
+            ("mean_load_latency", p.mean_load_latency().into()),
+        ]);
+        let dl1 = obj([
+            ("accesses", c.cache.accesses().into()),
+            ("loads", c.cache.read_accesses.into()),
+            ("stores", c.cache.write_accesses.into()),
+            ("miss_rate", c.miss_rate().into()),
+            ("writebacks", c.writebacks.into()),
+        ]);
+        let replication = obj([
+            ("attempts", c.replication_attempts.into()),
+            ("ability", c.replication_ability().into()),
+            ("replicas_created", c.replicas_created.into()),
+            ("replica_updates", c.replica_updates.into()),
+            ("replica_evictions", c.replica_evictions.into()),
+            ("loads_with_replica", c.loads_with_replica().into()),
+            (
+                "misses_served_by_replica",
+                c.misses_served_by_replica.into(),
+            ),
+        ]);
+        let reliability = obj([
+            ("faults_injected", self.faults_injected.into()),
+            ("errors_detected", c.errors_detected.into()),
+            ("corrected_ecc", c.errors_corrected_ecc.into()),
+            ("recovered_replica", c.errors_recovered_replica.into()),
+            ("recovered_l2", c.errors_recovered_l2.into()),
+            ("scrub_heals", c.scrub_heals.into()),
+            ("unrecoverable_loads", c.unrecoverable_loads.into()),
+            (
+                "unrecoverable_load_fraction",
+                c.unrecoverable_load_fraction().into(),
+            ),
+            ("avg_vulnerable_words", self.avg_vulnerable_words.into()),
+        ]);
+        let memory = obj([
+            ("l2_accesses", self.l2.accesses().into()),
+            ("l2_miss_rate", self.l2.miss_rate().into()),
+            ("l1i_miss_rate", self.l1i.miss_rate().into()),
+            ("memory_reads", self.memory_reads.into()),
+            ("memory_writes", self.memory_writes.into()),
+        ]);
+        let energy = obj([
+            ("l1_reads", e.l1_reads.into()),
+            ("l1_writes", e.l1_writes.into()),
+            ("parity_ops", e.parity_ops.into()),
+            ("ecc_ops", e.ecc_ops.into()),
+            ("l2_accesses", e.l2_accesses.into()),
+        ]);
+        json::pretty(&obj([
+            ("app", self.app.as_str().into()),
+            ("scheme", self.scheme.as_str().into()),
+            ("core", core),
+            ("dl1", dl1),
+            ("replication", replication),
+            ("reliability", reliability),
+            ("memory", memory),
+            ("energy", energy),
+        ]))
     }
 }
 

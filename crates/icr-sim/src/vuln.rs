@@ -12,6 +12,7 @@
 
 use crate::engine::Engine;
 use crate::exec::Pool;
+use crate::json::{self, obj, Value};
 use crate::simulator::SimConfig;
 use icr_core::{
     DataL1Config, ErrorOutcome, ExposureWindows, ProtState, Scheme, VulnClass, VulnModel,
@@ -202,116 +203,54 @@ impl VulnReport {
         out
     }
 
-    /// The report as JSON, via the shared [`crate::json`] primitives
-    /// (the workspace deliberately carries no JSON dependency) and free
-    /// of timing or host information, so two runs of the same spec
-    /// produce byte-identical files.
+    /// The report as JSON, printed by [`json::pretty`] and free of
+    /// timing or host information, so two runs of the same spec produce
+    /// byte-identical files. Like every report but the campaign's, it
+    /// ends without a newline.
     pub fn to_json(&self) -> String {
-        use crate::json::{esc, num};
         let spec = &self.spec;
-        let schemes = spec
-            .schemes
-            .iter()
-            .map(|s| esc(&s.name()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let apps = spec
-            .apps
-            .iter()
-            .map(|a| esc(a))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let mut out = String::new();
-        out.push_str("{\n  \"vuln\": {\n");
-        out.push_str(&format!("    \"seed\": {},\n", spec.seed));
-        out.push_str(&format!("    \"instructions\": {},\n", spec.instructions));
-        out.push_str(&format!(
-            "    \"arrival_p\": {},\n",
-            spec.arrival_p.map_or("null".into(), num)
-        ));
-        out.push_str(&format!(
-            "    \"flips_per_bit_cycle\": {},\n",
-            num(spec.model.flips_per_bit_cycle)
-        ));
-        out.push_str(&format!(
-            "    \"bits_per_word\": {},\n",
-            spec.model.bits_per_word
-        ));
-        out.push_str(&format!(
-            "    \"clock_hz\": {},\n",
-            num(spec.model.clock_hz)
-        ));
-        out.push_str(&format!("    \"schemes\": [{schemes}],\n"));
-        out.push_str(&format!("    \"apps\": [{apps}]\n"));
-        out.push_str("  },\n  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
+        let model = &spec.model;
+        let header = obj([
+            ("seed", spec.seed.into()),
+            ("instructions", spec.instructions.into()),
+            ("arrival_p", spec.arrival_p.map_or(Value::Null, Value::from)),
+            ("flips_per_bit_cycle", model.flips_per_bit_cycle.into()),
+            ("bits_per_word", u64::from(model.bits_per_word).into()),
+            ("clock_hz", model.clock_hz.into()),
+            ("schemes", json::arr(spec.schemes.iter().map(|s| s.name()))),
+            ("apps", json::arr(spec.apps.iter().map(String::as_str))),
+        ]);
+        let cells = self.cells.iter().map(|cell| {
             let w = &cell.windows;
-            out.push_str("    {\n");
-            out.push_str(&format!(
-                "      \"scheme\": {},\n",
-                esc(&cell.scheme.name())
-            ));
-            out.push_str(&format!("      \"app\": {},\n", esc(&cell.app)));
-            out.push_str(&format!("      \"cycles\": {},\n", cell.cycles));
-            out.push_str(&format!(
-                "      \"total_word_cycles\": {},\n",
-                w.total_word_cycles
-            ));
-            out.push_str("      \"residency_word_cycles\": {");
             let residency = ProtState::ALL
                 .iter()
-                .map(|&s| format!("\"{}\": {}", s.name(), w.residency_of(s)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&residency);
-            out.push_str("},\n");
-            out.push_str("      \"consumed_word_cycles\": {");
+                .map(|&s| (s.name(), w.residency_of(s).into()));
             let consumed = VulnClass::ALL
                 .iter()
-                .map(|&c| format!("\"{}\": {}", c.name(), w.consumed_of(c)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&consumed);
-            out.push_str("},\n");
-            out.push_str("      \"one_shot_probabilities\": {");
-            let probs = VulnClass::ALL
+                .map(|&c| (c.name(), w.consumed_of(c).into()));
+            let probabilities = VulnClass::ALL
                 .iter()
                 .map(|&c| {
-                    format!(
-                        "\"{}\": {}",
-                        ErrorOutcome::from_vuln_class(c).name(),
-                        num(w.one_shot_probability(c))
-                    )
+                    let outcome = ErrorOutcome::from_vuln_class(c).name();
+                    (outcome, w.one_shot_probability(c).into())
                 })
-                .chain(std::iter::once(format!(
-                    "\"masked\": {}",
-                    num(w.one_shot_masked())
-                )))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&probs);
-            out.push_str("},\n");
-            out.push_str(&format!(
-                "      \"survived_fraction\": {},\n",
-                num(cell.survived_fraction())
-            ));
-            out.push_str(&format!(
-                "      \"avg_vulnerable_words\": {},\n",
-                num(w.avg_words_in(ProtState::DirtyParity))
-            ));
-            out.push_str(&format!(
-                "      \"mttf_hours\": {},\n",
-                num(spec.model.mttf_hours(w))
-            ));
-            out.push_str(&format!("      \"fit\": {}\n", num(spec.model.fit(w))));
-            out.push_str(if i + 1 == self.cells.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+                .chain([("masked", w.one_shot_masked().into())]);
+            let vulnerable = w.avg_words_in(ProtState::DirtyParity);
+            obj([
+                ("scheme", cell.scheme.name().into()),
+                ("app", cell.app.as_str().into()),
+                ("cycles", cell.cycles.into()),
+                ("total_word_cycles", w.total_word_cycles.into()),
+                ("residency_word_cycles", obj(residency)),
+                ("consumed_word_cycles", obj(consumed)),
+                ("one_shot_probabilities", obj(probabilities)),
+                ("survived_fraction", cell.survived_fraction().into()),
+                ("avg_vulnerable_words", vulnerable.into()),
+                ("mttf_hours", model.mttf_hours(w).into()),
+                ("fit", model.fit(w).into()),
+            ])
+        });
+        json::pretty(&obj([("vuln", header), ("cells", json::arr(cells))]))
     }
 }
 

@@ -12,6 +12,7 @@ use icr_check::{RefModel, RefWriteBuffer};
 use icr_core::{DataL1, DataL1Config, ErrorOutcome, OutcomeTally, Scheme};
 use icr_mem::{Addr, BlockAddr, HierarchyConfig, MemoryBackend, WriteBuffer};
 use icr_sim::audit::{export_real_state, ref_config};
+use icr_sim::json::parse;
 use icr_sim::{run_audit, run_sim, AuditSpec, CheckMode, SimConfig};
 
 /// Drives the real dL1 and the reference model in lockstep through an
@@ -201,19 +202,19 @@ fn checker_catches_unconserved_tallies() {
 // Satellite 4: atomic JSON output.
 // ---------------------------------------------------------------------
 
-/// Every report emitter produces a complete JSON document, and every
-/// strict prefix — what a torn, non-atomic write would leave behind — is
-/// flagged as incomplete. Together with `write_output`'s temp-file
+/// Every report emitter produces a complete JSON document, and the
+/// strict parser rejects every strict prefix — what a torn, non-atomic
+/// write would leave behind. Together with `write_output`'s temp-file
 /// rename this is the torn-report guarantee.
 #[test]
 fn checker_catches_truncated_report_files() {
     let spec = AuditSpec::new(vec![Scheme::BASE_P], vec!["gzip".into()], 2_000, 5);
     let report = run_audit(&spec);
     let json = report.to_json();
-    assert!(icr_check::json_complete(&json));
+    assert!(parse(&json).is_ok());
     for cut in 1..json.len() {
         assert!(
-            !icr_check::json_complete(&json[..cut]),
+            parse(&json[..cut]).is_err(),
             "torn write of length {cut} accepted"
         );
     }
@@ -225,8 +226,8 @@ fn checker_catches_truncated_report_files() {
         5,
     ));
     let json = sim.to_json();
-    assert!(icr_check::json_complete(&json));
-    assert!(!icr_check::json_complete(&json[..json.len() / 2]));
+    assert!(parse(&json).is_ok());
+    assert!(parse(&json[..json.len() / 2]).is_err());
 }
 
 // ---------------------------------------------------------------------

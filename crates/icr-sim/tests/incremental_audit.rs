@@ -17,6 +17,7 @@ use icr_check::RefModel;
 use icr_core::{DataL1, DataL1Config, Scheme, WritePolicy};
 use icr_mem::{Addr, HierarchyConfig, MemoryBackend};
 use icr_sim::audit::{export_real_sets, export_real_state, ref_config, LockstepChecker};
+use icr_sim::json::parse;
 use icr_sim::{run_audit, AuditSpec};
 
 /// Drives the real dL1 and the reference model in lockstep through an
@@ -164,17 +165,17 @@ fn incremental_diff_catches_miscounted_statistics() {
 
 /// `run_audit` now exercises the incremental checker internally; its
 /// report must still be one complete JSON document, and every strict
-/// prefix — a torn, non-atomic write — must be flagged.
+/// prefix — a torn, non-atomic write — must fail the strict parser.
 #[test]
 fn incremental_audit_report_json_rejects_torn_writes() {
     let spec = AuditSpec::new(vec![Scheme::ICR_P_PS_S], vec!["gzip".into()], 2_000, 5);
     let report = run_audit(&spec);
     assert!(report.total_accesses_checked() > 0);
     let json = report.to_json();
-    assert!(icr_check::json_complete(&json));
+    assert!(parse(&json).is_ok());
     for cut in 1..json.len() {
         assert!(
-            !icr_check::json_complete(&json[..cut]),
+            parse(&json[..cut]).is_err(),
             "torn write of length {cut} accepted"
         );
     }

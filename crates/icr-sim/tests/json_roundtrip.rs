@@ -5,20 +5,30 @@
 //! string escaping, or member ordering ever became unstable, the second
 //! serialization would not reproduce the first.
 //!
-//! The emitters pretty-print, so the byte-equality bar sits at the
-//! canonical compact form: `parse(doc).to_json()` must be a fixed point
-//! of `parse ∘ to_json`, and parsing must lose nothing — every counter,
-//! float token, and key survives verbatim.
+//! The byte-equality bar sits at two layouts. The reports are printed
+//! by `json::pretty`, so re-printing a parsed report with it must give
+//! the original bytes back. Below that, `parse(doc).to_json()` must be a
+//! fixed point of `parse ∘ to_json`, and parsing must lose nothing —
+//! every counter, float token, and key survives verbatim.
 
 use icr_core::{DataL1Config, Scheme};
-use icr_sim::json::{parse, Value};
+use icr_sim::json::{parse, pretty, Value};
 use icr_sim::{
-    run_audit, run_campaign, run_sim, run_vuln, AuditSpec, CampaignSpec, SimConfig, VulnSpec,
+    run_audit, run_campaign, run_sharded_campaign, run_sim, run_vuln, AuditSpec, CampaignSpec,
+    ShardedCampaignSpec, SimConfig, VulnSpec,
 };
+
+/// Parses the pretty-printed report `doc`, asserts `json::pretty`
+/// reprints it byte for byte, and returns the parsed value.
+fn roundtrip(doc: &str) -> Value {
+    let v = canonical_roundtrip(doc);
+    assert_eq!(pretty(&v), doc, "json::pretty must reprint the report");
+    v
+}
 
 /// Parses `doc`, asserts canonical re-serialization is a byte-exact
 /// fixed point, and returns the parsed value for structural checks.
-fn roundtrip(doc: &str) -> Value {
+fn canonical_roundtrip(doc: &str) -> Value {
     let v = parse(doc).unwrap_or_else(|e| panic!("emitted document failed to parse: {e}\n{doc}"));
     let canonical = v.to_json();
     let v2 = parse(&canonical)
@@ -79,7 +89,11 @@ fn campaign_report_json_round_trips() {
     spec.batch = 10;
     spec.threads = 1;
     let report = run_campaign(&spec).expect("campaign runs");
-    let v = roundtrip(&report.to_json());
+    let doc = report.to_json();
+    let v = roundtrip(
+        doc.strip_suffix('\n')
+            .expect("campaign reports end in a newline"),
+    );
     assert!(v.get("campaign").is_some(), "campaign section kept");
     // The tally fields the conservation audit feeds on survive parsing.
     let cells = v.get("cells").expect("cells array");
@@ -89,13 +103,41 @@ fn campaign_report_json_round_trips() {
     assert!(!cells.is_empty());
 }
 
+/// The sharded report places `sharding` second, after `campaign`: on
+/// one line for a single-process run (four scalars) and broken over
+/// lines for a worker leg (its `worker` member is an array).
+#[test]
+fn sharded_report_json_round_trips() {
+    let mut base = CampaignSpec::new(vec![Scheme::BASE_P], vec!["gzip".into()], 20, 9);
+    base.instructions = 2_000;
+    base.threads = 1;
+    let spec = ShardedCampaignSpec::new(base, 10);
+    for (spec, one_line) in [(spec.clone(), true), (spec.with_worker(0, 2), false)] {
+        let report = run_sharded_campaign(&spec, None, false).expect("campaign runs");
+        let doc = report.to_json();
+        let v = roundtrip(
+            doc.strip_suffix('\n')
+                .expect("campaign reports end in a newline"),
+        );
+        let Value::Obj(members) = &v else {
+            panic!("the report is an object")
+        };
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["campaign", "sharding", "cells"]);
+        assert_eq!(
+            doc.contains("\n  \"sharding\": {\"shard_size\": 10,"),
+            one_line
+        );
+    }
+}
+
 /// Float tokens survive verbatim: the parser never converts through
 /// `f64`, so a 17-significant-digit token — the shortest-round-trip
 /// output of `json::num` — is reproduced byte for byte.
 #[test]
 fn number_tokens_survive_verbatim() {
     let doc = "{\"v\": [0.30670142616163165, -1.5e-3, 2820.1196859794295, 50000]}";
-    let v = roundtrip(doc);
+    let v = canonical_roundtrip(doc);
     assert_eq!(
         v.to_json(),
         "{\"v\":[0.30670142616163165,-1.5e-3,2820.1196859794295,50000]}"
