@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify check build test fmt fmt-check clippy doc bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill trace-roundtrip campaign campaign-resume campaign-fanout perfbench-test audit isa-audit clean
+.PHONY: verify check build test fmt fmt-check clippy doc bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-layers bench-layers-build bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill trace-roundtrip campaign campaign-resume campaign-fanout perfbench-test audit isa-audit clean
 
 ## Full verification: build + all tests + formatting + lints + docs,
 ## plus a build-only check of the bench targets, the dL1-vs-spill
@@ -14,7 +14,7 @@ CARGO ?= cargo
 ## kill-and-resume smoke of the checkpointed campaign service, a
 ## two-worker fan-out whose merge must be byte-identical to the
 ## single-process run, and the repository benchmark's own tests.
-verify: build test fmt-check clippy doc bench-engine-build bench-all-build bench-isa-build bench-campaign-build bench-importance-build bench-spill trace-roundtrip campaign-resume campaign-fanout perfbench-test audit
+verify: build test fmt-check clippy doc bench-engine-build bench-all-build bench-layers-build bench-isa-build bench-campaign-build bench-importance-build bench-spill trace-roundtrip campaign-resume campaign-fanout perfbench-test audit
 	@echo "verify: OK"
 
 ## Tier-1 gate (ROADMAP.md): release build + quiet tests.
@@ -66,6 +66,17 @@ bench-all-build:
 ## committed BENCH_all.json baseline.
 bench-all-gate:
 	ICR_BENCH_GATE=1 $(CARGO) bench -p icr-bench --bench all
+
+## Layer benchmark: per paper scheme × gzip/mcf at 500k instructions,
+## run_sim ns/inst and the memory side's ns/access from a fault-free
+## tape replay (which must reproduce run_sim's dL1 stats), with a
+## history row per run in BENCH_layers.json. Records, gates nothing.
+bench-layers:
+	$(CARGO) bench -p icr-bench --bench layers
+
+## Compile the layer benchmark without running it (used by `verify`).
+bench-layers-build:
+	$(CARGO) bench -p icr-bench --bench layers --no-run
 
 ## Interpret-vs-replay benchmark over the execution-driven ISA kernels:
 ## cold RV32IM interpretation against replaying the saved .icrt trace,

@@ -252,8 +252,15 @@ impl DataL1ConfigBuilder {
     }
 }
 
+/// [`LineArrays::key`] bit: the line holds data.
+const KEY_VALID: u64 = 1;
+/// [`LineArrays::key`] bit: the line is a replica.
+const KEY_REPLICA: u64 = 2;
+const KEY_FLAGS: u64 = KEY_VALID | KEY_REPLICA;
+
 /// Structure-of-arrays line storage: every per-line attribute lives in
-/// its own parallel vector, indexed by the flat slot `set * assoc + way`
+/// its own parallel vector (valid bit, replica bit and address packed
+/// into one match key), indexed by the flat slot `set * assoc + way`
 /// (the same index the exposure ledger uses), and the stored words live
 /// in one flat array with `words_per_block` entries per slot. Hot scans —
 /// tag match, replica probes, victim candidate passes, and the batch
@@ -263,10 +270,12 @@ impl DataL1ConfigBuilder {
 struct LineArrays {
     assoc: usize,
     words_per_block: usize,
-    valid: Vec<bool>,
+    /// Each line's match key: its block address, with [`KEY_VALID`] and
+    /// [`KEY_REPLICA`] in the low bits block alignment leaves free, so a
+    /// tag scan compares one word per way. The address and replica bit
+    /// are retained across invalidation.
+    key: Vec<u64>,
     dirty: Vec<bool>,
-    is_replica: Vec<bool>,
-    addr: Vec<BlockAddr>,
     /// Cycle of each line's last access — the lazy decay-counter input.
     /// Retained across invalidation, like the old per-line decay state.
     last_access: Vec<u64>,
@@ -286,10 +295,8 @@ impl LineArrays {
         LineArrays {
             assoc: g.associativity(),
             words_per_block: g.words_per_block(),
-            valid: vec![false; slots],
+            key: vec![0; slots],
             dirty: vec![false; slots],
-            is_replica: vec![false; slots],
-            addr: vec![BlockAddr(0); slots],
             last_access: vec![0; slots],
             prot: vec![Protection::Parity; slots],
             words: vec![ProtectedWord::default(); slots * g.words_per_block()],
@@ -328,32 +335,101 @@ impl LineArrays {
         DataBlock::from_words(self.words(slot).iter().map(|w| w.data()).collect())
     }
 
+    /// Copies the data of `slot`'s words into `out`.
+    #[inline]
+    fn data_into(&self, slot: usize, out: &mut [u64]) {
+        for (o, w) in out.iter_mut().zip(self.words(slot)) {
+            *o = w.data();
+        }
+    }
+
     /// Way of `set` holding the primary of `block`, if resident — one
-    /// contiguous pass over the flag and tag vectors.
+    /// contiguous pass over the key vector.
     #[inline]
     fn primary_way(&self, set: usize, block: BlockAddr) -> Option<usize> {
-        let base = set * self.assoc;
-        (0..self.assoc).find(|&w| {
-            let sl = base + w;
-            self.valid[sl] && !self.is_replica[sl] && self.addr[sl] == block
-        })
+        self.way_keyed(set, block, KEY_VALID)
     }
 
     /// First way of `set` holding a replica of `block`.
     #[inline]
     fn replica_way(&self, set: usize, block: BlockAddr) -> Option<usize> {
-        let base = set * self.assoc;
-        (0..self.assoc).find(|&w| {
-            let sl = base + w;
-            self.valid[sl] && self.is_replica[sl] && self.addr[sl] == block
-        })
+        self.way_keyed(set, block, KEY_VALID | KEY_REPLICA)
+    }
+
+    /// First way of `set` whose key is `block` with `flags`. A block
+    /// address with low bits set names no line.
+    #[inline]
+    fn way_keyed(&self, set: usize, block: BlockAddr, flags: u64) -> Option<usize> {
+        if block.raw() & KEY_FLAGS != 0 {
+            return None;
+        }
+        let want = block.raw() | flags;
+        self.key[set * self.assoc..][..self.assoc]
+            .iter()
+            .position(|&k| k == want)
     }
 
     /// First invalid way of `set` (free space).
     #[inline]
     fn invalid_way(&self, set: usize) -> Option<usize> {
-        let base = set * self.assoc;
-        (0..self.assoc).find(|&w| !self.valid[base + w])
+        self.key[set * self.assoc..][..self.assoc]
+            .iter()
+            .position(|&k| k & KEY_VALID == 0)
+    }
+
+    /// Number of slots.
+    fn slots(&self) -> usize {
+        self.key.len()
+    }
+
+    /// `true` when the line in `slot` holds data.
+    #[inline]
+    fn valid(&self, slot: usize) -> bool {
+        self.key[slot] & KEY_VALID != 0
+    }
+
+    /// `true` when the line in `slot` is a replica (vs a primary copy).
+    #[inline]
+    fn is_replica(&self, slot: usize) -> bool {
+        self.key[slot] & KEY_REPLICA != 0
+    }
+
+    /// The block the line in `slot` holds (or last held).
+    #[inline]
+    fn addr(&self, slot: usize) -> BlockAddr {
+        BlockAddr(self.key[slot] & !KEY_FLAGS)
+    }
+
+    /// Makes the line in `slot` a valid copy of `block`.
+    #[inline]
+    fn install(&mut self, slot: usize, block: BlockAddr, replica: bool) {
+        debug_assert_eq!(block.raw() & KEY_FLAGS, 0, "unaligned block {block}");
+        self.key[slot] = block.raw() | KEY_VALID | if replica { KEY_REPLICA } else { 0 };
+    }
+
+    /// Invalidates the line in `slot`.
+    #[inline]
+    fn invalidate(&mut self, slot: usize) {
+        self.key[slot] &= !KEY_VALID;
+    }
+}
+
+/// Where a block's dL1 replicas sit, from one walk over its candidate
+/// sets. Resolved once per access and handed down, so no later step of
+/// the same access walks the sets again.
+#[derive(Debug, Clone, Copy, Default)]
+struct Replicas {
+    /// `(attempt, set, way)` of the first replica in attempt order.
+    first: Option<(usize, usize, usize)>,
+    /// Index of the last attempt whose set holds a replica.
+    last_attempt: usize,
+    /// Attempts whose set holds a replica.
+    count: usize,
+}
+
+impl Replicas {
+    fn any(self) -> bool {
+        self.first.is_some()
     }
 }
 
@@ -420,16 +496,17 @@ pub struct DataL1 {
     write_buffer: Option<WriteBuffer>,
     duplication: Option<DuplicationCache>,
     stats: IcrStats,
-    /// Oracle shadow of resident blocks' true contents (when
-    /// `config.oracle`): the reference loads are compared against.
-    shadow: std::collections::HashMap<BlockAddr, Vec<u64>>,
+    /// Oracle shadow of the resident primaries' true contents (when
+    /// `config.oracle`; empty otherwise): the reference loads are
+    /// compared against. Laid out like the word array — the primary in
+    /// slot `sl` owns `shadow[sl * words_per_block..][..words_per_block]`
+    /// — and seeded by every primary fill, so it needs no lookup.
+    shadow: Vec<u64>,
     /// Round-robin position of the background scrubber.
     scrub_cursor: usize,
-    /// Reusable scratch for replica-victim selection (one set's worth of
-    /// candidates and an eligibility mask), so the per-store victim scan
-    /// never allocates.
-    victim_scratch: Vec<CandidateLine>,
-    mask_scratch: Vec<bool>,
+    /// One block of words: where a miss stages the data it fills with,
+    /// so no fill allocates.
+    fill_buf: Vec<u64>,
     /// Cycle at which the load port is free again. A non-speculative
     /// SEC-DED check occupies the port for 2 cycles (the paper's §1
     /// bandwidth argument: ECC "may find it difficult to sustain" one
@@ -472,16 +549,20 @@ impl DataL1 {
             }
         };
         let duplication = config.duplication_cache.map(DuplicationCache::new);
+        let shadow = if config.oracle {
+            vec![0; g.num_sets() * g.associativity() * g.words_per_block()]
+        } else {
+            Vec::new()
+        };
         DataL1 {
             config,
             lines,
             write_buffer,
             duplication,
             stats: IcrStats::default(),
-            shadow: std::collections::HashMap::new(),
+            shadow,
             scrub_cursor: 0,
-            victim_scratch: Vec::new(),
-            mask_scratch: Vec::new(),
+            fill_buf: vec![0; g.words_per_block()],
             port_free_at: 0,
             exposure: ExposureLedger::new(g.num_sets() * g.associativity(), g.words_per_block()),
             spilled: std::collections::HashSet::new(),
@@ -548,10 +629,14 @@ impl DataL1 {
     /// toward dirty unreplicated parity lines — the high-ACE residency
     /// the exposure ledger charges as unrecoverable.
     pub fn line_exposure_state(&self, set: usize, way: usize) -> Option<ProtState> {
-        if !self.lines.valid[self.lines.slot(set, way)] {
+        let sl = self.lines.slot(set, way);
+        if !self.lines.valid(sl) {
             return None;
         }
-        Some(self.exposure_state(set, way))
+        let has_replica = !self.lines.is_replica(sl)
+            && self.lines.prot[sl] != Protection::SecDed
+            && self.has_replica(self.lines.addr(sl));
+        Some(self.exposure_state(set, way, has_replica))
     }
 
     /// `true` when the line at (`set`, `way`) is a valid dirty *primary*
@@ -565,8 +650,8 @@ impl DataL1 {
     /// importance proposal.
     pub fn line_loss_prone(&self, set: usize, way: usize) -> bool {
         let sl = self.lines.slot(set, way);
-        self.lines.valid[sl]
-            && !self.lines.is_replica[sl]
+        self.lines.valid(sl)
+            && !self.lines.is_replica(sl)
             && self.lines.prot[sl] != Protection::SecDed
             && self.lines.dirty[sl]
     }
@@ -592,21 +677,23 @@ impl DataL1 {
         blocks: &std::collections::HashSet<u64>,
     ) -> bool {
         let sl = self.lines.slot(set, way);
-        self.lines.valid[sl]
-            && !self.lines.is_replica[sl]
+        self.lines.valid(sl)
+            && !self.lines.is_replica(sl)
             && self.lines.prot[sl] != Protection::SecDed
-            && blocks.contains(&self.lines.addr[sl].raw())
+            && blocks.contains(&self.lines.addr(sl).raw())
     }
 
-    /// The [`ProtState`] the valid line at (`set`, `way`) is in.
-    fn exposure_state(&self, set: usize, way: usize) -> ProtState {
+    /// The [`ProtState`] the valid line at (`set`, `way`) is in, given
+    /// whether its block has a dL1 replica (the caller's census: only
+    /// read for a primary).
+    fn exposure_state(&self, set: usize, way: usize, has_replica: bool) -> ProtState {
         let sl = self.lines.slot(set, way);
-        debug_assert!(self.lines.valid[sl], "exposure_state of an invalid line");
-        if self.lines.is_replica[sl] {
+        debug_assert!(self.lines.valid(sl), "exposure_state of an invalid line");
+        if self.lines.is_replica(sl) {
             ProtState::Replica
         } else if self.lines.prot[sl] == Protection::SecDed {
             ProtState::Ecc
-        } else if self.has_replica(self.lines.addr[sl]) || self.is_spilled(self.lines.addr[sl]) {
+        } else if has_replica || self.is_spilled(self.lines.addr(sl)) {
             ProtState::Replicated
         } else if self.lines.dirty[sl] {
             ProtState::DirtyParity
@@ -616,11 +703,12 @@ impl DataL1 {
     }
 
     /// Re-synchronizes the ledger after a dirty/protection/replication
-    /// change on the (valid) line at (`set`, `way`).
-    fn sync_exposure(&mut self, set: usize, way: usize, now: u64) {
+    /// change on the (valid) primary at (`set`, `way`), whose block has a
+    /// dL1 replica iff `has_replica`.
+    fn sync_exposure(&mut self, set: usize, way: usize, has_replica: bool, now: u64) {
         let slot = self.lines.slot(set, way);
-        if self.lines.valid[slot] {
-            let state = self.exposure_state(set, way);
+        if self.lines.valid(slot) {
+            let state = self.exposure_state(set, way, has_replica);
             self.exposure.set_state(slot, state, now);
         }
     }
@@ -634,47 +722,66 @@ impl DataL1 {
         self.lines.primary_way(s, block).map(|w| (s, w))
     }
 
-    /// All replica locations of `block`, searched over the placement's
-    /// candidate sets (the only places a replica can live).
-    fn find_replicas(&self, block: BlockAddr) -> Vec<(usize, usize)> {
+    /// The replicas of `block`: one walk over the placement's candidate
+    /// sets (the only places a replica can live), in attempt order.
+    /// Replica lines exist only under replicating schemes, so the walk
+    /// is skipped entirely for the Base* schemes.
+    fn replicas(&self, block: BlockAddr) -> Replicas {
+        let mut found = Replicas::default();
+        if !self.config.scheme.replicates() {
+            return found;
+        }
+        let g = self.config.geometry;
+        for (attempt, set) in self
+            .config
+            .placement
+            .candidate_sets_iter(g, g.set_index(block))
+            .enumerate()
+        {
+            if let Some(way) = self.lines.replica_way(set.0, block) {
+                found.first.get_or_insert((attempt, set.0, way));
+                found.last_attempt = attempt;
+                found.count += 1;
+            }
+        }
+        found
+    }
+
+    /// Runs `f` on the slot of each replica of `block`, in candidate-set
+    /// order, without collecting them first. `f` may rewrite or drop the
+    /// replica it is given.
+    fn for_each_replica(&mut self, block: BlockAddr, mut f: impl FnMut(&mut Self, usize)) {
         let g = self.config.geometry;
         let home = g.set_index(block);
-        let mut out = Vec::new();
-        for set in self.config.placement.candidate_sets_iter(g, home) {
-            let base = set.0 * self.lines.assoc;
+        for i in 0..self.config.placement.attempts.len() {
+            let set = g.set_at_distance(home, self.config.placement.attempts[i]).0;
             for w in 0..self.lines.assoc {
-                let sl = base + w;
-                if self.lines.valid[sl] && self.lines.is_replica[sl] && self.lines.addr[sl] == block
+                let sl = self.lines.slot(set, w);
+                if self.lines.valid(sl) && self.lines.is_replica(sl) && self.lines.addr(sl) == block
                 {
-                    out.push((set.0, w));
+                    f(self, sl);
                 }
             }
         }
-        out
     }
 
     /// The first replica location of `block` in candidate-set order —
-    /// identical to `find_replicas(block).first()`, without the
-    /// allocation. This is the copy the parallel-lookup (`PP`) load path
-    /// reads on every replicated hit.
+    /// the copy the parallel-lookup (`PP`) load path reads on every
+    /// replicated hit. Stops at the first hit; `None` without a walk
+    /// under the Base* schemes.
     fn first_replica(&self, block: BlockAddr) -> Option<(usize, usize)> {
-        let g = self.config.geometry;
-        let home = g.set_index(block);
-        for set in self.config.placement.candidate_sets_iter(g, home) {
-            if let Some(w) = self.lines.replica_way(set.0, block) {
-                return Some((set.0, w));
-            }
+        if !self.config.scheme.replicates() {
+            return None;
         }
-        None
+        let g = self.config.geometry;
+        self.config
+            .placement
+            .candidate_sets_iter(g, g.set_index(block))
+            .find_map(|set| self.lines.replica_way(set.0, block).map(|w| (set.0, w)))
     }
 
     /// `true` when `block` currently has at least one replica.
     pub fn has_replica(&self, block: BlockAddr) -> bool {
-        // Replica lines exist only under replicating schemes, so the
-        // candidate-set walk is skipped entirely for the Base* schemes.
-        if !self.config.scheme.replicates() {
-            return false;
-        }
         self.first_replica(block).is_some()
     }
 
@@ -704,21 +811,15 @@ impl DataL1 {
 
     /// Number of valid replica lines in the cache.
     pub fn replica_line_count(&self) -> usize {
-        self.lines
-            .valid
-            .iter()
-            .zip(&self.lines.is_replica)
-            .filter(|&(&v, &r)| v && r)
+        (0..self.lines.slots())
+            .filter(|&sl| self.lines.valid(sl) && self.lines.is_replica(sl))
             .count()
     }
 
     /// Number of valid primary lines in the cache.
     pub fn primary_line_count(&self) -> usize {
-        self.lines
-            .valid
-            .iter()
-            .zip(&self.lines.is_replica)
-            .filter(|&(&v, &r)| v && !r)
+        (0..self.lines.slots())
+            .filter(|&sl| self.lines.valid(sl) && !self.lines.is_replica(sl))
             .count()
     }
 
@@ -728,10 +829,10 @@ impl DataL1 {
             return None;
         }
         let sl = self.lines.slot(set, way);
-        self.lines.valid[sl].then(|| LineView {
-            addr: self.lines.addr[sl],
+        self.lines.valid(sl).then(|| LineView {
+            addr: self.lines.addr(sl),
             dirty: self.lines.dirty[sl],
-            is_replica: self.lines.is_replica[sl],
+            is_replica: self.lines.is_replica(sl),
             protection: self.lines.prot[sl],
         })
     }
@@ -744,21 +845,21 @@ impl DataL1 {
     /// auditor's from-scratch recomputation.
     pub fn export_lines(&self, now: u64) -> Vec<LineExport> {
         let assoc = self.lines.assoc;
-        let mut counters = vec![0u8; self.lines.valid.len()];
+        let mut counters = vec![0u8; self.lines.slots()];
         self.config
             .decay
             .counters_into(&self.lines.last_access, now, &mut counters);
         let mut out = Vec::new();
         for (sl, &counter) in counters.iter().enumerate() {
-            if !self.lines.valid[sl] {
+            if !self.lines.valid(sl) {
                 continue;
             }
             out.push(LineExport {
                 set: sl / assoc,
                 way: sl % assoc,
-                addr: self.lines.addr[sl],
+                addr: self.lines.addr(sl),
                 dirty: self.lines.dirty[sl],
-                is_replica: self.lines.is_replica[sl],
+                is_replica: self.lines.is_replica(sl),
                 protection: self.lines.prot[sl],
                 last_access: self.lines.last_access[sl],
                 counter,
@@ -781,7 +882,7 @@ impl DataL1 {
         let assoc = self.lines.assoc;
         for way in 0..assoc {
             let sl = set * assoc + way;
-            if !self.lines.valid[sl] {
+            if !self.lines.valid(sl) {
                 continue;
             }
             let counter = self
@@ -791,9 +892,9 @@ impl DataL1 {
             out.push(LineExport {
                 set,
                 way,
-                addr: self.lines.addr[sl],
+                addr: self.lines.addr(sl),
                 dirty: self.lines.dirty[sl],
-                is_replica: self.lines.is_replica[sl],
+                is_replica: self.lines.is_replica(sl),
                 protection: self.lines.prot[sl],
                 last_access: self.lines.last_access[sl],
                 counter,
@@ -830,18 +931,18 @@ impl DataL1 {
     pub fn vulnerable_word_count(&self) -> usize {
         let words = self.config.geometry.words_per_block();
         let mut count = 0;
-        for sl in 0..self.lines.valid.len() {
-            if !self.lines.valid[sl] || self.lines.is_replica[sl] || !self.lines.dirty[sl] {
+        for sl in 0..self.lines.slots() {
+            if !self.lines.valid(sl) || self.lines.is_replica(sl) || !self.lines.dirty[sl] {
                 continue;
             }
             if self.lines.prot[sl] == Protection::SecDed {
                 continue;
             }
-            if self.has_replica(self.lines.addr[sl]) || self.is_spilled(self.lines.addr[sl]) {
+            if self.has_replica(self.lines.addr(sl)) || self.is_spilled(self.lines.addr(sl)) {
                 continue;
             }
             if let Some(dup) = &self.duplication {
-                if dup.contains(self.lines.addr[sl]) {
+                if dup.contains(self.lines.addr(sl)) {
                     continue;
                 }
             }
@@ -854,8 +955,8 @@ impl DataL1 {
     /// injector's sample space.
     pub fn valid_lines(&self) -> Vec<(usize, usize)> {
         let assoc = self.lines.assoc;
-        (0..self.lines.valid.len())
-            .filter(|&sl| self.lines.valid[sl])
+        (0..self.lines.slots())
+            .filter(|&sl| self.lines.valid(sl))
             .map(|sl| (sl / assoc, sl % assoc))
             .collect()
     }
@@ -864,7 +965,7 @@ impl DataL1 {
     /// Returns `false` if the line is invalid.
     pub fn flip_data_bit(&mut self, set: usize, way: usize, word: usize, bit: u32) -> bool {
         let sl = self.lines.slot(set, way);
-        if !self.lines.valid[sl] {
+        if !self.lines.valid(sl) {
             return false;
         }
         self.lines.word_mut(sl, word).flip_data_bit(bit);
@@ -875,7 +976,7 @@ impl DataL1 {
     /// Returns `false` if the line is invalid.
     pub fn flip_check_bit(&mut self, set: usize, way: usize, word: usize, bit: u32) -> bool {
         let sl = self.lines.slot(set, way);
-        if !self.lines.valid[sl] {
+        if !self.lines.valid(sl) {
             return false;
         }
         self.lines.word_mut(sl, word).flip_check_bit(bit);
@@ -885,7 +986,9 @@ impl DataL1 {
     /// The stored data of a word (for verification in tests).
     pub fn word_data(&self, set: usize, way: usize, word: usize) -> Option<u64> {
         let sl = self.lines.slot(set, way);
-        self.lines.valid[sl].then(|| self.lines.word(sl, word).data())
+        self.lines
+            .valid(sl)
+            .then(|| self.lines.word(sl, word).data())
     }
 
     /// `true` when no copy of `block` can ever again raise an error
@@ -923,17 +1026,15 @@ impl DataL1 {
     /// [`ErrorOutcome::classify_single_fault`]: crate::ErrorOutcome::classify_single_fault
     pub fn block_sealed(&self, block: BlockAddr, backend: &MemoryBackend) -> bool {
         let intact = |ws: &[ProtectedWord]| ws.iter().all(ProtectedWord::is_clean);
-        let primary = self
-            .find_primary(block)
-            .map(|(s, w)| self.lines.words(self.lines.slot(s, w)));
-        if let Some(ws) = primary {
+        let primary_slot = self.find_primary(block).map(|(s, w)| self.lines.slot(s, w));
+        let primary = primary_slot.map(|sl| self.lines.words(sl));
+        if let Some(sl) = primary_slot {
+            let ws = self.lines.words(sl);
             if !intact(ws) {
                 return false;
             }
-            if let Some(truth) = self.shadow.get(&block) {
-                if ws.iter().zip(truth).any(|(w, &t)| w.data() != t) {
-                    return false;
-                }
+            if self.config.oracle && ws.iter().zip(self.truth(sl)).any(|(w, &t)| w.data() != t) {
+                return false;
             }
         }
         if self.config.scheme.replicates() {
@@ -981,6 +1082,18 @@ impl DataL1 {
         self.config.scheme.unreplicated_protection()
     }
 
+    /// The oracle's true words for the primary in `slot` (oracle on only).
+    fn truth(&self, slot: usize) -> &[u64] {
+        let wpb = self.lines.words_per_block;
+        &self.shadow[slot * wpb..][..wpb]
+    }
+
+    /// [`truth`](Self::truth), writable.
+    fn truth_mut(&mut self, slot: usize) -> &mut [u64] {
+        let wpb = self.lines.words_per_block;
+        &mut self.shadow[slot * wpb..][..wpb]
+    }
+
     fn count_code_op(&mut self, protection: Protection) {
         match protection {
             Protection::Parity => self.stats.parity_ops += 1,
@@ -989,7 +1102,8 @@ impl DataL1 {
     }
 
     /// Re-encodes a primary line under `protection` (on replication-status
-    /// change). One code op is charged.
+    /// change), whose block has a dL1 replica iff `has_replica`. One code
+    /// op is charged.
     ///
     /// The re-encode trusts the stored data bits, so any latent strike
     /// present now is sealed in place under clean check bits: the next
@@ -999,7 +1113,14 @@ impl DataL1 {
     /// when the code is unchanged, because the caller's
     /// replication-status change alone moves the line between
     /// `Replicated` and the unreplicated states.
-    fn reprotect_primary(&mut self, set: usize, way: usize, protection: Protection, now: u64) {
+    fn reprotect_primary(
+        &mut self,
+        set: usize,
+        way: usize,
+        protection: Protection,
+        has_replica: bool,
+        now: u64,
+    ) {
         let slot = self.lines.slot(set, way);
         if self.lines.prot[slot] != protection {
             self.exposure.launder_line(slot, now, LaunderKind::InPlace);
@@ -1010,43 +1131,49 @@ impl DataL1 {
             self.stats.l1_write_ops += 1;
             self.count_code_op(protection);
         }
-        self.sync_exposure(set, way, now);
+        self.sync_exposure(set, way, has_replica, now);
     }
 
     // ------------------------------------------------------------------
     // Eviction helpers
     // ------------------------------------------------------------------
 
+    /// After `block` lost a replica: if it has none left in either tier
+    /// and its primary is resident, the primary reverts to the
+    /// unreplicated code.
+    fn demote_if_unreplicated(&mut self, block: BlockAddr, now: u64) {
+        if let Some((ps, pw)) = self.find_primary(block) {
+            if !self.has_replica(block) && !self.is_spilled(block) {
+                let prot = self.unreplicated_protection();
+                self.reprotect_primary(ps, pw, prot, false, now);
+            }
+        }
+    }
+
     /// Evicts the line at (`set`, `way`) if valid: writes back dirty
     /// primaries, and handles that primary's replicas per config.
     fn evict_line(&mut self, set: usize, way: usize, now: u64, backend: &mut MemoryBackend) {
         let slot = self.lines.slot(set, way);
-        if !self.lines.valid[slot] {
+        if !self.lines.valid(slot) {
             return;
         }
-        let is_replica = self.lines.is_replica[slot];
+        let is_replica = self.lines.is_replica(slot);
         let dirty = self.lines.dirty[slot];
-        let addr = self.lines.addr[slot];
-        self.lines.valid[slot] = false;
+        let addr = self.lines.addr(slot);
+        self.lines.invalidate(slot);
         self.exposure.end_line(slot, now);
         if is_replica {
             self.stats.replica_evictions += 1;
             // If that was the block's last replica in *either* tier and
             // its primary is resident, the primary reverts to the
             // unreplicated code.
-            if !self.has_replica(addr) && !self.is_spilled(addr) {
-                if let Some((ps, pw)) = self.find_primary(addr) {
-                    let prot = self.unreplicated_protection();
-                    self.reprotect_primary(ps, pw, prot, now);
-                }
-            }
+            self.demote_if_unreplicated(addr, now);
         } else {
             self.stats.cache.evictions += 1;
-            self.shadow.remove(&addr);
             if dirty {
                 self.stats.writebacks += 1;
                 self.stats.cache.writebacks += 1;
-                backend.write_block(addr, self.lines.plain_data(slot));
+                backend.write_block_with(addr, |out| self.lines.data_into(slot, out));
                 // The writeback makes any spilled replica stale — the
                 // spill protocol invalidates it rather than updating it
                 // (the region is not on the writeback path).
@@ -1054,13 +1181,12 @@ impl DataL1 {
                     self.drop_spill(addr, now, backend);
                 }
             }
-            if !self.config.keep_replicas_on_evict {
-                for (rs, rw) in self.find_replicas(addr) {
-                    let rslot = self.lines.slot(rs, rw);
-                    self.lines.valid[rslot] = false;
-                    self.exposure.end_line(rslot, now);
-                    self.stats.replica_evictions += 1;
-                }
+            if !self.config.keep_replicas_on_evict && self.config.scheme.replicates() {
+                self.for_each_replica(addr, |dl1, rslot| {
+                    dl1.lines.invalidate(rslot);
+                    dl1.exposure.end_line(rslot, now);
+                    dl1.stats.replica_evictions += 1;
+                });
             }
         }
     }
@@ -1069,16 +1195,17 @@ impl DataL1 {
     // Fill and replication
     // ------------------------------------------------------------------
 
-    /// Installs a primary copy of `block`, evicting by plain LRU.
-    /// Returns (set, way).
+    /// Installs a primary copy of `block` holding `data`, evicting by
+    /// plain LRU. Returns (set, way) and the block's replicas after the
+    /// eviction.
     fn fill_primary(
         &mut self,
         block: BlockAddr,
-        data: &DataBlock,
+        data: &[u64],
         dirty: bool,
         now: u64,
         backend: &mut MemoryBackend,
-    ) -> (usize, usize) {
+    ) -> (usize, usize, Replicas) {
         debug_assert!(self.find_primary(block).is_none(), "double fill of {block}");
         let g = self.config.geometry;
         let s = g.set_index(block).0;
@@ -1089,66 +1216,57 @@ impl DataL1 {
         self.evict_line(s, way, now, backend);
         // Protection depends on whether replicas survived a previous
         // eviction (keep-replicas mode, or a spilled copy in the region).
-        let protection = if self.has_replica(block) || self.is_spilled(block) {
+        let replicas = self.replicas(block);
+        let protection = if replicas.any() || self.is_spilled(block) {
             Protection::Parity
         } else {
             self.unreplicated_protection()
         };
         let slot = self.lines.slot(s, way);
-        self.lines.valid[slot] = true;
+        self.lines.install(slot, block, false);
         self.lines.dirty[slot] = dirty;
-        self.lines.is_replica[slot] = false;
-        self.lines.addr[slot] = block;
         self.lines.last_access[slot] = now;
         self.lines.prot[slot] = protection;
-        for (i, w) in self.lines.words_mut(slot).iter_mut().enumerate() {
-            *w = ProtectedWord::encode(data.word(i), protection);
+        for (w, &d) in self.lines.words_mut(slot).iter_mut().zip(data) {
+            *w = ProtectedWord::encode(d, protection);
         }
         self.lines.lru[s].touch(way);
-        let state = self.exposure_state(s, way);
+        let state = self.exposure_state(s, way, replicas.any());
         self.exposure.begin_line(slot, state, now);
         self.stats.cache.fills += 1;
         self.stats.l1_write_ops += 1;
         self.count_code_op(protection);
         if self.config.oracle {
-            self.shadow.insert(block, data.words().to_vec());
+            self.truth_mut(slot).copy_from_slice(data);
         }
-        (s, way)
+        (s, way, replicas)
     }
 
     /// Selects a victim way for a replica in `set`, or `None` when the
     /// policy finds no eligible line. Never selects a copy of `block`
     /// itself.
-    fn choose_replica_victim(&mut self, set: usize, block: BlockAddr, now: u64) -> Option<usize> {
+    fn choose_replica_victim(&self, set: usize, block: BlockAddr, now: u64) -> Option<usize> {
         if let Some(w) = self.lines.invalid_way(set) {
             return Some(w);
         }
         let base = set * self.lines.assoc;
         let decay = self.config.decay;
-        let mut candidates = std::mem::take(&mut self.victim_scratch);
-        let mut mask = std::mem::take(&mut self.mask_scratch);
-        candidates.clear();
-        for w in 0..self.lines.assoc {
+        let candidate = |w: usize| {
             let sl = base + w;
-            candidates.push(CandidateLine {
-                valid: self.lines.valid[sl],
-                is_replica: self.lines.is_replica[sl],
+            CandidateLine {
+                valid: self.lines.valid(sl),
+                is_replica: self.lines.is_replica(sl),
                 is_dead: decay.dead_at(self.lines.last_access[sl], now),
-                excluded: self.lines.addr[sl] == block,
-            });
-        }
-        let mut chosen = None;
-        for pass in self.config.victim.passes() {
-            mask.clear();
-            mask.extend(candidates.iter().map(pass));
-            if let Some(w) = self.lines.lru[set].victim_among(&mask) {
-                chosen = Some(w);
-                break;
+                excluded: self.lines.addr(sl) == block,
             }
-        }
-        self.victim_scratch = candidates;
-        self.mask_scratch = mask;
-        chosen
+        };
+        // Restricted LRU over each pass's way mask, first pass first.
+        self.config.victim.passes().into_iter().find_map(|pass| {
+            let mask = (0..self.lines.assoc)
+                .filter(|&w| pass(&candidate(w)))
+                .fold(0u16, |m, w| m | 1 << w);
+            self.lines.lru[set].victim_among(mask)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1182,11 +1300,11 @@ impl DataL1 {
         }
         let base = self.ensure_spill_ledger(backend);
         let pslot = self.lines.slot(ps, pw);
-        let wpb = self.lines.words_per_block;
-        let words: Vec<ProtectedWord> = (0..wpb)
-            .map(|i| {
-                ProtectedWord::encode(self.lines.words[pslot * wpb + i].data(), Protection::Parity)
-            })
+        let words: Vec<ProtectedWord> = self
+            .lines
+            .words(pslot)
+            .iter()
+            .map(|w| ProtectedWord::encode(w.data(), Protection::Parity))
             .collect();
         let ins = backend.replica_region_mut().insert(block, words);
         if let Some((eblock, eslot)) = ins.evicted {
@@ -1195,12 +1313,7 @@ impl DataL1 {
             self.stats.spill_evictions += 1;
             // The displaced block loses its last replica tier: a resident
             // primary reverts to the unreplicated code.
-            if !self.has_replica(eblock) {
-                if let Some((es, ew)) = self.find_primary(eblock) {
-                    let prot = self.unreplicated_protection();
-                    self.reprotect_primary(es, ew, prot, now);
-                }
-            }
+            self.demote_if_unreplicated(eblock, now);
         }
         self.spilled.insert(block);
         self.exposure
@@ -1221,12 +1334,7 @@ impl DataL1 {
             self.exposure.end_line(base + rslot, now);
         }
         self.stats.spill_invalidations += 1;
-        if !self.has_replica(block) {
-            if let Some((ps, pw)) = self.find_primary(block) {
-                let prot = self.unreplicated_protection();
-                self.reprotect_primary(ps, pw, prot, now);
-            }
-        }
+        self.demote_if_unreplicated(block, now);
     }
 
     /// Attempts to bring `block` up to the configured replica count.
@@ -1240,10 +1348,17 @@ impl DataL1 {
     /// its loads-with-replica numbers are high (§5.2: "even if
     /// opportunities for replication may not be very high, the chances of
     /// finding a replica when needed may be extremely good").
-    fn attempt_replication(&mut self, block: BlockAddr, now: u64, backend: &mut MemoryBackend) {
-        let Some((ps, pw)) = self.find_primary(block) else {
-            return;
-        };
+    ///
+    /// The caller resolved the block's primary at (`ps`, `pw`) and its
+    /// `replicas`, so nothing here walks the sets to find them again.
+    fn attempt_replication(
+        &mut self,
+        block: BlockAddr,
+        (ps, pw): (usize, usize),
+        replicas: Replicas,
+        now: u64,
+        backend: &mut MemoryBackend,
+    ) {
         let g = self.config.geometry;
         let home = g.set_index(block);
         // The candidate list maps 1:1 over the placement's attempts, so
@@ -1260,15 +1375,9 @@ impl DataL1 {
             return; // software opted this range out: no attempt is made
         }
 
-        // Count existing replicas the same way find_replicas walks them —
-        // per candidate set (at most one replica of a block per set) —
-        // without collecting the locations.
-        let mut count = 0;
-        for target in self.config.placement.candidate_sets_iter(g, home) {
-            if self.lines.replica_way(target.0, block).is_some() {
-                count += 1;
-            }
-        }
+        // Existing replicas, counted per candidate set (at most one
+        // replica of a block per set).
+        let mut count = replicas.count;
         let had_none = count == 0;
         let count_before = count;
         let spills = self.config.scheme.spills_to_l2();
@@ -1278,18 +1387,17 @@ impl DataL1 {
                 break;
             }
             let target = g.set_at_distance(home, self.config.placement.attempts[attempt]);
-            // One replica per set: skip sets that already hold one.
-            if self.lines.replica_way(target.0, block).is_some() {
+            // One replica per set: skip sets that already hold one. While
+            // the block has no replica at all, no set can.
+            if count > 0 && self.lines.replica_way(target.0, block).is_some() {
                 continue;
             }
             if let Some(way) = self.choose_replica_victim(target.0, block, now) {
                 self.evict_line(target.0, way, now, backend);
                 let pslot = self.lines.slot(ps, pw);
                 let rslot = self.lines.slot(target.0, way);
-                self.lines.valid[rslot] = true;
+                self.lines.install(rslot, block, true);
                 self.lines.dirty[rslot] = false;
-                self.lines.is_replica[rslot] = true;
-                self.lines.addr[rslot] = block;
                 self.lines.last_access[rslot] = now;
                 self.lines.prot[rslot] = Protection::Parity;
                 // Copy the primary's words under parity, straight across
@@ -1329,7 +1437,7 @@ impl DataL1 {
         if had_none && !was_spilled && (count > 0 || spilled_now) {
             let pslot = self.line_slot(ps, pw);
             self.exposure.launder_line(pslot, now, LaunderKind::Copy);
-            self.reprotect_primary(ps, pw, Protection::Parity, now);
+            self.reprotect_primary(ps, pw, Protection::Parity, count > 0, now);
         }
         self.stats.replication_attempts += 1;
         if created_now >= 1 || spilled_now {
@@ -1357,27 +1465,33 @@ impl DataL1 {
     ) -> u64 {
         let slot = self.lines.slot(set, way);
         let sequential = self.config.scheme.lookup() == Some(ReplicaLookup::Sequential);
-        // 1. Try the replicas.
-        let replicas = self.find_replicas(block);
-        for (rs, rw) in replicas {
-            // Sequential lookup pays an extra read now; parallel lookup
-            // already read the replica.
-            if sequential {
-                self.stats.l1_read_ops += 1;
-                self.stats.parity_ops += 1;
+        // 1. Try the replicas, in candidate-set order, up to the first
+        // whose copy of the word passes its check.
+        let mut tried = 0u64;
+        let mut recovered = None;
+        self.for_each_replica(block, |dl1, rslot| {
+            if recovered.is_none() {
+                tried += 1;
+                let mut replica_word = *dl1.lines.word(rslot, word);
+                if replica_word.check_and_correct().data_is_good() {
+                    recovered = Some(replica_word.data());
+                }
             }
-            let rslot = self.lines.slot(rs, rw);
-            let mut replica_word = *self.lines.word(rslot, word);
-            if replica_word.check_and_correct().data_is_good() {
-                let value = replica_word.data();
-                let protection = self.lines.prot[slot];
-                *self.lines.word_mut(slot, word) = ProtectedWord::encode(value, protection);
-                self.exposure.refresh_word(slot, word, now);
-                self.stats.l1_write_ops += 1;
-                self.count_code_op(protection);
-                self.stats.errors_recovered_replica += 1;
-                return if sequential { 1 } else { 0 };
-            }
+        });
+        // Sequential lookup pays an extra read per replica tried now;
+        // parallel lookup already read the replica.
+        if sequential {
+            self.stats.l1_read_ops += tried;
+            self.stats.parity_ops += tried;
+        }
+        if let Some(value) = recovered {
+            let protection = self.lines.prot[slot];
+            *self.lines.word_mut(slot, word) = ProtectedWord::encode(value, protection);
+            self.exposure.refresh_word(slot, word, now);
+            self.stats.l1_write_ops += 1;
+            self.count_code_op(protection);
+            self.stats.errors_recovered_replica += 1;
+            return if sequential { 1 } else { 0 };
         }
         // 2. A spilled replica in the L2 region (SpillToL2 tier): a
         // verified read-back at L2 latency. A corrupt region word drops
@@ -1441,9 +1555,7 @@ impl DataL1 {
         // The corruption has been *acknowledged*; fold it into the oracle
         // so later loads of this word are not double-counted as silent.
         if self.config.oracle {
-            if let Some(sh) = self.shadow.get_mut(&block) {
-                sh[word] = bad;
-            }
+            self.truth_mut(slot)[word] = bad;
         }
         0
     }
@@ -1470,14 +1582,13 @@ impl DataL1 {
             }
             self.exposure.refresh_line(slot, now);
             // Refresh the replica from the restored primary too.
-            for (rs, rw) in self.find_replicas(block) {
-                let rslot = self.lines.slot(rs, rw);
+            self.for_each_replica(block, |dl1, rslot| {
                 for i in 0..data.len() {
-                    *self.lines.word_mut(rslot, i) =
+                    *dl1.lines.word_mut(rslot, i) =
                         ProtectedWord::encode(data.word(i), Protection::Parity);
                 }
-                self.exposure.refresh_line(rslot, now);
-            }
+                dl1.exposure.refresh_line(rslot, now);
+            });
             self.stats.l1_write_ops += 1;
             self.count_code_op(protection);
             self.stats.errors_recovered_l2 += 1;
@@ -1488,15 +1599,12 @@ impl DataL1 {
         self.stats.unrecoverable_loads += 1;
         let bad = self.lines.word(slot, word).data();
         self.exposure.refresh_word(slot, word, now);
-        for (rs, rw) in self.find_replicas(block) {
-            let rslot = self.lines.slot(rs, rw);
-            *self.lines.word_mut(rslot, word) = ProtectedWord::encode(bad, Protection::Parity);
-            self.exposure.refresh_word(rslot, word, now);
-        }
+        self.for_each_replica(block, |dl1, rslot| {
+            *dl1.lines.word_mut(rslot, word) = ProtectedWord::encode(bad, Protection::Parity);
+            dl1.exposure.refresh_word(rslot, word, now);
+        });
         if self.config.oracle {
-            if let Some(sh) = self.shadow.get_mut(&block) {
-                sh[word] = bad;
-            }
+            self.truth_mut(slot)[word] = bad;
         }
         0
     }
@@ -1530,11 +1638,11 @@ impl DataL1 {
             self.scrub_cursor = (self.scrub_cursor + 1) % total;
             // The scrub cursor walks flat slots in order: `pos` IS the slot.
             let slot = pos;
-            if !self.lines.valid[slot] {
+            if !self.lines.valid(slot) {
                 continue;
             }
             self.stats.l1_read_ops += 1;
-            let scrub_is_replica = self.lines.is_replica[slot];
+            let scrub_is_replica = self.lines.is_replica(slot);
             let scrub_dirty = self.lines.dirty[slot];
             for word in 0..words {
                 checked += 1;
@@ -1565,9 +1673,9 @@ impl DataL1 {
                     }
                     CheckOutcome::DetectedUncorrectable => {
                         self.stats.errors_detected += 1;
-                        let is_replica = self.lines.is_replica[slot];
+                        let is_replica = self.lines.is_replica(slot);
                         let dirty = self.lines.dirty[slot];
-                        let block = self.lines.addr[slot];
+                        let block = self.lines.addr(slot);
                         if !is_replica && !dirty {
                             let (data, _) = backend.read_block(block);
                             let prot = self.lines.prot[slot];
@@ -1583,16 +1691,10 @@ impl DataL1 {
                         } else if is_replica {
                             // A corrupt replica is simply dropped; the
                             // primary is the copy of record.
-                            self.lines.valid[slot] = false;
+                            self.lines.invalidate(slot);
                             self.exposure.end_line(slot, now);
                             self.stats.replica_evictions += 1;
-                            let addr = block;
-                            if !self.has_replica(addr) && !self.is_spilled(addr) {
-                                if let Some((ps, pw)) = self.find_primary(addr) {
-                                    let p = self.unreplicated_protection();
-                                    self.reprotect_primary(ps, pw, p, now);
-                                }
-                            }
+                            self.demote_if_unreplicated(block, now);
                             self.stats.scrub_heals += 1;
                             healed += 1;
                             break; // line gone; stop scanning its words
@@ -1624,7 +1726,8 @@ impl DataL1 {
 
         if let Some((s, w)) = self.find_primary(block) {
             self.stats.cache.read_hits += 1;
-            let has_replica = self.has_replica(block);
+            let replica = self.first_replica(block);
+            let has_replica = replica.is_some();
             let spilled = self.is_spilled(block);
             if has_replica || spilled {
                 self.stats.read_hits_with_replica += 1;
@@ -1658,23 +1761,23 @@ impl DataL1 {
             // Parallel lookup reads the replica on every access. A
             // spilled-only copy sits behind the L2 latency wall, so the
             // PP compare covers dL1-resident replicas only.
-            let replica_slot = if has_replica && parallel {
-                self.stats.l1_read_ops += 1;
-                self.stats.parity_ops += 1;
-                // The compare observes the replica word too. A strike on
-                // it trips the compare, and with only two copies the
-                // line refetches when clean and is lost when dirty.
-                let (rs, rw) = self.first_replica(block).unwrap();
-                let rclass = if self.lines.dirty[slot] {
-                    VulnClass::Unrecoverable
-                } else {
-                    VulnClass::ByRefetch
-                };
-                let rslot = self.lines.slot(rs, rw);
-                self.exposure.consume_word(rslot, word, rclass, now);
-                Some(rslot)
-            } else {
-                None
+            let replica_slot = match replica {
+                Some((rs, rw)) if parallel => {
+                    self.stats.l1_read_ops += 1;
+                    self.stats.parity_ops += 1;
+                    // The compare observes the replica word too. A strike on
+                    // it trips the compare, and with only two copies the
+                    // line refetches when clean and is lost when dirty.
+                    let rclass = if self.lines.dirty[slot] {
+                        VulnClass::Unrecoverable
+                    } else {
+                        VulnClass::ByRefetch
+                    };
+                    let rslot = self.lines.slot(rs, rw);
+                    self.exposure.consume_word(rslot, word, rclass, now);
+                    Some(rslot)
+                }
+                _ => None,
             };
             // A spilled-only block is parity-protected but has no dL1
             // replica to read in parallel: its fault-free hit is the
@@ -1724,12 +1827,11 @@ impl DataL1 {
             // different from the architectural truth is silent corruption.
             if self.config.oracle && !error_handled {
                 let got = self.lines.word(slot, word).data();
-                if let Some(sh) = self.shadow.get_mut(&block) {
-                    if sh[word] != got {
-                        self.stats.silent_corruptions += 1;
-                        // Count each consumed corruption once.
-                        sh[word] = got;
-                    }
+                let truth = &mut self.truth_mut(slot)[word];
+                if *truth != got {
+                    // Count each consumed corruption once.
+                    *truth = got;
+                    self.stats.silent_corruptions += 1;
                 }
             }
             self.port_free_at = now + port_wait + self.check_occupancy(line_protection);
@@ -1746,20 +1848,14 @@ impl DataL1 {
                     let rslot = self.lines.slot(rs, rw);
                     self.lines.lru[rs].touch(rw);
                     self.lines.last_access[rslot] = now;
-                    let data = self.lines.plain_data(rslot);
+                    let mut data = std::mem::take(&mut self.fill_buf);
+                    self.lines.data_into(rslot, &mut data);
                     // The replica's stored bits are trusted into the new
                     // primary (and the oracle's shadow), so its open word
                     // windows end here unconsumed.
                     self.exposure.refresh_line(rslot, now);
-                    self.fill_primary(block, &data, false, now, backend);
-                    let trigger_on_miss = self
-                        .config
-                        .scheme
-                        .trigger()
-                        .is_some_and(|t| t.on_load_miss());
-                    if trigger_on_miss {
-                        self.attempt_replication(block, now, backend);
-                    }
+                    self.fill_on_load_miss(block, &data, now, backend);
+                    self.fill_buf = data;
                     // One extra cycle instead of the L2 trip.
                     self.port_free_at = now + port_wait + 1;
                     return self.config.scheme.load_hit_latency(true) + 1 + port_wait;
@@ -1774,9 +1870,9 @@ impl DataL1 {
                     .slot_of(block)
                     .expect("spilled set mirrors region occupancy");
                 let base_slot = self.spill_base.expect("spilled implies ledger attached");
-                let wpb = g.words_per_block();
-                let mut values = Vec::with_capacity(wpb);
-                for i in 0..wpb {
+                let mut data = std::mem::take(&mut self.fill_buf);
+                let mut intact = true;
+                for (i, value) in data.iter_mut().enumerate() {
                     self.stats.parity_ops += 1;
                     // The read-back observes each region word: a strike
                     // in its open window is detected here and healed by
@@ -1785,42 +1881,51 @@ impl DataL1 {
                         .consume_word(base_slot + rslot, i, VulnClass::ByRefetch, now);
                     let mut w = *backend.replica_region().word(rslot, i);
                     if w.check_and_correct().data_is_good() {
-                        values.push(w.data());
+                        *value = w.data();
                     } else {
                         self.stats.errors_detected += 1;
+                        intact = false;
                         break;
                     }
                 }
-                if values.len() == wpb {
+                if intact {
                     self.stats.misses_served_by_spill += 1;
-                    let data = DataBlock::from_words(values);
-                    self.fill_primary(block, &data, false, now, backend);
-                    if self
-                        .config
-                        .scheme
-                        .trigger()
-                        .is_some_and(|t| t.on_load_miss())
-                    {
-                        self.attempt_replication(block, now, backend);
-                    }
+                    self.fill_on_load_miss(block, &data, now, backend);
+                }
+                self.fill_buf = data;
+                if intact {
                     self.port_free_at = now + port_wait + 1;
                     return 1 + backend.l2_latency() + port_wait;
                 }
                 self.drop_spill(block, now, backend);
             }
-            let (data, l2_lat) = backend.read_block(block);
-            self.fill_primary(block, &data, false, now, backend);
-            if self
-                .config
-                .scheme
-                .trigger()
-                .is_some_and(|t| t.on_load_miss())
-            {
-                self.attempt_replication(block, now, backend);
-            }
+            let mut data = std::mem::take(&mut self.fill_buf);
+            let l2_lat = backend.read_block_into(block, &mut data);
+            self.fill_on_load_miss(block, &data, now, backend);
+            self.fill_buf = data;
             let occ = self.check_occupancy(self.unreplicated_protection());
             self.port_free_at = now + port_wait + occ;
             self.config.scheme.load_hit_latency(false) + l2_lat + port_wait
+        }
+    }
+
+    /// Installs a load miss's primary from `data` and, under the `LS`
+    /// trigger, attempts to replicate it.
+    fn fill_on_load_miss(
+        &mut self,
+        block: BlockAddr,
+        data: &[u64],
+        now: u64,
+        backend: &mut MemoryBackend,
+    ) {
+        let (s, w, replicas) = self.fill_primary(block, data, false, now, backend);
+        if self
+            .config
+            .scheme
+            .trigger()
+            .is_some_and(|t| t.on_load_miss())
+        {
+            self.attempt_replication(block, (s, w), replicas, now, backend);
         }
     }
 
@@ -1850,14 +1955,15 @@ impl DataL1 {
         let value = icr_mem::splitmix64(addr.raw() ^ now.rotate_left(17));
         let write_through = matches!(self.config.write_policy, WritePolicy::WriteThrough { .. });
 
-        let hit = self.find_primary(block);
-        // Where the primary sits after the match below — the one tag scan
-        // covers the later replica-update gate and write-through read.
-        // Nothing in between can displace it: replication never
-        // victimises a copy of the block being replicated.
-        let mut resident = hit;
-        match hit {
+        // Where the primary sits after the match below, and where the
+        // block's replicas sit: one tag scan and one candidate-set walk
+        // cover the exposure sync, the replica updates, the replication
+        // attempt and the write-through read. Nothing in between can
+        // displace either: replication never victimises a copy of the
+        // block being replicated.
+        let resident = match self.find_primary(block) {
             Some((s, w)) => {
+                let replicas = self.replicas(block);
                 self.stats.cache.write_hits += 1;
                 let slot = self.lines.slot(s, w);
                 let protection = self.lines.prot[slot];
@@ -1866,13 +1972,11 @@ impl DataL1 {
                 self.lines.last_access[slot] = now;
                 self.lines.lru[s].touch(w);
                 self.exposure.refresh_word(slot, word, now);
-                self.sync_exposure(s, w, now);
+                self.sync_exposure(s, w, replicas.any(), now);
                 self.stats.l1_write_ops += 1;
                 self.count_code_op(protection);
                 if self.config.oracle {
-                    if let Some(sh) = self.shadow.get_mut(&block) {
-                        sh[word] = value;
-                    }
+                    self.truth_mut(slot)[word] = value;
                 }
                 if let Some(dup) = &mut self.duplication {
                     if !dup.update_word(block, word, value) {
@@ -1882,24 +1986,24 @@ impl DataL1 {
                         self.stats.parity_ops += 1;
                     }
                 }
+                Some((s, w, replicas))
             }
             None if !write_through => {
                 // Write-allocate: fetch, fill, then write.
-                let (data, _lat) = backend.read_block(block);
-                let (s, w) = self.fill_primary(block, &data, false, now, backend);
-                resident = Some((s, w));
+                let mut data = std::mem::take(&mut self.fill_buf);
+                backend.read_block_into(block, &mut data);
+                let (s, w, replicas) = self.fill_primary(block, &data, false, now, backend);
+                self.fill_buf = data;
                 let slot = self.lines.slot(s, w);
                 let protection = self.lines.prot[slot];
                 *self.lines.word_mut(slot, word) = ProtectedWord::encode(value, protection);
                 self.lines.dirty[slot] = true;
                 self.exposure.refresh_word(slot, word, now);
-                self.sync_exposure(s, w, now);
+                self.sync_exposure(s, w, replicas.any(), now);
                 self.stats.l1_write_ops += 1;
                 self.count_code_op(protection);
                 if self.config.oracle {
-                    if let Some(sh) = self.shadow.get_mut(&block) {
-                        sh[word] = value;
-                    }
+                    self.truth_mut(slot)[word] = value;
                 }
                 if let Some(dup) = &mut self.duplication {
                     let data = self.lines.plain_data(slot);
@@ -1907,76 +2011,92 @@ impl DataL1 {
                     self.stats.l1_write_ops += 1;
                     self.stats.parity_ops += 1;
                 }
+                Some((s, w, replicas))
             }
             None => {
                 // Write-through, no-write-allocate: the word goes straight
                 // down; nothing is installed.
+                None
             }
-        }
+        };
 
-        // Keep every replica coherent with the store — the same
-        // candidate-set walk as `find_replicas`, without collecting.
-        if self.config.scheme.replicates() && resident.is_some() {
-            let home = g.set_index(block);
-            for attempt in 0..self.config.placement.attempts.len() {
-                let rs = g
-                    .set_at_distance(home, self.config.placement.attempts[attempt])
-                    .0;
-                let Some(rw) = self.lines.replica_way(rs, block) else {
-                    continue;
-                };
-                let rslot = self.lines.slot(rs, rw);
-                *self.lines.word_mut(rslot, word) =
-                    ProtectedWord::encode(value, Protection::Parity);
-                self.lines.last_access[rslot] = now;
-                self.lines.lru[rs].touch(rw);
-                self.exposure.refresh_word(rslot, word, now);
-                self.stats.replica_updates += 1;
-                self.stats.l1_write_ops += 1;
-                self.stats.parity_ops += 1;
+        match resident {
+            Some((s, w, replicas)) if self.config.scheme.replicates() => {
+                // Keep every replica coherent with the store: the first
+                // one is known, and no attempt before it or after the last
+                // one holds a replica.
+                if let Some((first, rs, rw)) = replicas.first {
+                    self.update_replica(rs, rw, word, value, now);
+                    let home = g.set_index(block);
+                    for attempt in first + 1..=replicas.last_attempt {
+                        let rs = g
+                            .set_at_distance(home, self.config.placement.attempts[attempt])
+                            .0;
+                        if let Some(rw) = self.lines.replica_way(rs, block) {
+                            self.update_replica(rs, rw, word, value, now);
+                        }
+                    }
+                }
+                // A spilled copy is kept coherent in place the same way.
+                if self.is_spilled(block) {
+                    let rslot = backend
+                        .replica_region()
+                        .slot_of(block)
+                        .expect("spilled set mirrors region occupancy");
+                    backend.replica_region_mut().update_word(
+                        rslot,
+                        word,
+                        ProtectedWord::encode(value, Protection::Parity),
+                    );
+                    let base = self.spill_base.expect("spilled implies ledger attached");
+                    self.exposure.refresh_word(base + rslot, word, now);
+                    self.stats.spill_updates += 1;
+                    self.stats.parity_ops += 1;
+                }
+                // Stores always trigger a replication attempt.
+                self.attempt_replication(block, (s, w), replicas, now, backend);
             }
-            // A spilled copy is kept coherent in place the same way.
-            if self.is_spilled(block) {
-                let rslot = backend
-                    .replica_region()
-                    .slot_of(block)
-                    .expect("spilled set mirrors region occupancy");
-                backend.replica_region_mut().update_word(
-                    rslot,
-                    word,
-                    ProtectedWord::encode(value, Protection::Parity),
-                );
-                let base = self.spill_base.expect("spilled implies ledger attached");
-                self.exposure.refresh_word(base + rslot, word, now);
-                self.stats.spill_updates += 1;
-                self.stats.parity_ops += 1;
+            _ if self.is_spilled(block) => {
+                // Write-through no-allocate miss: the word goes straight
+                // to L2, making any spilled copy stale — drop it.
+                self.drop_spill(block, now, backend);
             }
-            // Stores always trigger a replication attempt.
-            self.attempt_replication(block, now, backend);
-        } else if self.is_spilled(block) {
-            // Write-through no-allocate miss: the word goes straight to
-            // L2, making any spilled copy stale — drop it.
-            self.drop_spill(block, now, backend);
+            _ => {}
         }
 
         // Write-through: propagate functionally, time through the buffer.
         let mut stall = 0;
         if write_through {
-            let data = match resident {
-                Some((s, w)) => self.lines.plain_data(self.lines.slot(s, w)),
+            match resident {
+                Some((s, w, _)) => {
+                    let slot = self.lines.slot(s, w);
+                    backend.write_block_with(block, |out| self.lines.data_into(slot, out))
+                }
                 None => {
                     // No-allocate miss: merge the word into the L2 copy.
                     let mut d = backend.golden_block(block);
                     d.set_word(word, value);
-                    d
+                    backend.write_block(block, d)
                 }
             };
-            backend.write_block(block, data);
             if let Some(wb) = &mut self.write_buffer {
                 stall = wb.push(now, block);
             }
         }
         1 + stall
+    }
+
+    /// Writes a store's `value` into `word` of the replica at (`rs`,
+    /// `rw`), re-encoding it under parity.
+    fn update_replica(&mut self, rs: usize, rw: usize, word: usize, value: u64, now: u64) {
+        let rslot = self.lines.slot(rs, rw);
+        *self.lines.word_mut(rslot, word) = ProtectedWord::encode(value, Protection::Parity);
+        self.lines.last_access[rslot] = now;
+        self.lines.lru[rs].touch(rw);
+        self.exposure.refresh_word(rslot, word, now);
+        self.stats.replica_updates += 1;
+        self.stats.l1_write_ops += 1;
+        self.stats.parity_ops += 1;
     }
 }
 
@@ -1991,6 +2111,15 @@ mod tests {
 
     fn addr_for_set(g: CacheGeometry, set: usize, tag: u64) -> Addr {
         Addr(g.block_addr_from_parts(tag, SetIndex(set)).raw())
+    }
+
+    /// Every replica location of `block`, in candidate-set order.
+    fn replicas_of(c: &DataL1, block: BlockAddr) -> Vec<(usize, usize)> {
+        let assoc = c.geometry().associativity();
+        let mut out = Vec::new();
+        c.clone()
+            .for_each_replica(block, |_, sl| out.push((sl / assoc, sl % assoc)));
+        out
     }
 
     #[test]
@@ -2031,7 +2160,7 @@ mod tests {
         assert_eq!(c.store(a, 0, &mut b), 1);
         let block = g.block_addr(a);
         assert!(c.has_replica(block), "store must replicate into empty set");
-        let reps = c.find_replicas(block);
+        let reps = replicas_of(&c, block);
         assert_eq!(reps.len(), 1);
         assert_eq!(reps[0].0, 3 + 32, "replica lives at distance N/2");
         assert_eq!(c.stats().replicas_created, 1);
@@ -2096,7 +2225,7 @@ mod tests {
         // Replica data matches the primary word after the update.
         let block = g.block_addr(a);
         let (ps, pw) = c.find_primary(block).unwrap();
-        let (rs, rw) = c.find_replicas(block)[0];
+        let (rs, rw) = replicas_of(&c, block)[0];
         let wi = g.word_index(a);
         assert_eq!(
             c.word_data(ps, pw, wi),
@@ -2581,9 +2710,9 @@ mod tests {
         let a = addr_for_set(g, 0, 3);
         c.store(a, 0, &mut b);
         let block = g.block_addr(a);
-        assert_eq!(c.find_replicas(block).len(), 2);
+        assert_eq!(replicas_of(&c, block).len(), 2);
         assert_eq!(c.stats().replication_with_two, 1);
-        let sets: Vec<usize> = c.find_replicas(block).iter().map(|&(s, _)| s).collect();
+        let sets: Vec<usize> = replicas_of(&c, block).iter().map(|&(s, _)| s).collect();
         assert!(sets.contains(&32) && sets.contains(&16), "N/2 and N/4");
     }
 
@@ -2596,7 +2725,7 @@ mod tests {
         let mut c = DataL1::new(cfg);
         let a = addr_for_set(g, 5, 2);
         c.store(a, 0, &mut b);
-        let reps = c.find_replicas(g.block_addr(a));
+        let reps = replicas_of(&c, g.block_addr(a));
         assert_eq!(reps.len(), 1);
         assert_eq!(reps[0].0, 5, "replica shares the home set");
         // And it did not displace the primary itself.
@@ -2652,11 +2781,11 @@ mod tests {
         let mut c = DataL1::new(cfg);
         let hinted = Addr(0x1000_0040);
         c.store(hinted, 0, &mut b);
-        assert_eq!(c.find_replicas(g.block_addr(hinted)).len(), 2);
+        assert_eq!(replicas_of(&c, g.block_addr(hinted)).len(), 2);
         // An unhinted block gets the hardware default of one.
         let plain = Addr(0x3000_0040);
         c.store(plain, 1, &mut b);
-        assert_eq!(c.find_replicas(g.block_addr(plain)).len(), 1);
+        assert_eq!(replicas_of(&c, g.block_addr(plain)).len(), 1);
     }
 
     #[test]
@@ -2741,7 +2870,7 @@ mod tests {
         // A corrupted replica: dropped by the scrubber.
         let st = Addr(0x2000_0000);
         c.store(st, 1, &mut b);
-        let reps = c.find_replicas(g.block_addr(st));
+        let reps = replicas_of(&c, g.block_addr(st));
         let (rs, rw) = reps[0];
         c.flip_data_bit(rs, rw, 0, 9);
         let lines = g.num_sets() * g.associativity();
@@ -2826,6 +2955,65 @@ mod tests {
         // Counted once, not on every later load.
         c.load(a, 20, &mut b);
         assert_eq!(c.stats().silent_corruptions, 1);
+    }
+
+    /// The shadow is indexed by slot, so a slot's truth must follow the
+    /// block that lives there: a block filled into an evicted primary's
+    /// slot reads its own truth, not the evicted block's.
+    #[test]
+    fn oracle_truth_follows_the_block_in_a_reused_slot() {
+        let mut b = backend();
+        let mut cfg = DataL1Config::paper_default(Scheme::BASE_P);
+        cfg.oracle = true;
+        let g = cfg.geometry;
+        let mut c = DataL1::new(cfg);
+        // A dirty primary whose words differ from memory's pristine data.
+        let old = addr_for_set(g, 5, 1);
+        c.store(old, 0, &mut b);
+        let (s, w) = c.find_primary(g.block_addr(old)).unwrap();
+        // Three more blocks fill the set; a fourth evicts the LRU — the
+        // old block — and lands in its slot.
+        for t in 2..5u64 {
+            c.load(addr_for_set(g, 5, t), t, &mut b);
+        }
+        let new = addr_for_set(g, 5, 9);
+        let block = g.block_addr(new);
+        c.load(new, 10, &mut b);
+        assert_eq!(c.find_primary(g.block_addr(old)), None, "old block evicted");
+        assert_eq!(
+            c.find_primary(block),
+            Some((s, w)),
+            "new block reuses the slot"
+        );
+        for i in 0..g.words_per_block() as u64 {
+            c.load(Addr(new.raw() + 8 * i), 11 + i, &mut b);
+        }
+        assert_eq!(
+            c.stats().silent_corruptions,
+            0,
+            "the new block reads its own truth"
+        );
+        assert!(c.block_sealed(block, &b));
+
+        // Corrupt word 0 under a matching parity flip, so the check passes.
+        assert!(c.flip_data_bit(s, w, 0, 3));
+        assert!(c.flip_check_bit(s, w, 0, 0));
+        assert!(
+            !c.block_sealed(block, &b),
+            "sealed compares against the new truth"
+        );
+        c.load(new, 30, &mut b);
+        assert_eq!(
+            c.stats().silent_corruptions,
+            1,
+            "consumed corruption counted"
+        );
+        c.load(new, 31, &mut b);
+        assert_eq!(c.stats().silent_corruptions, 1, "and counted once");
+        assert!(
+            c.block_sealed(block, &b),
+            "the consumed value is the truth now"
+        );
     }
 
     #[test]

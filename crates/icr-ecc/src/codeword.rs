@@ -4,6 +4,14 @@
 //! Cache lines in the ICR simulator are arrays of [`ProtectedWord`]s; fault
 //! injection flips real bits (data or check) and loads verify integrity via
 //! [`ProtectedWord::check_and_correct`].
+//!
+//! A word no fault has touched since it was last written carries exactly
+//! the code of its data, so its check bits are not stored: they are
+//! computed the moment a fault first flips a bit of the word, and a check
+//! of an untouched word is clean without decoding anything. Every
+//! observable outcome is the same as encoding eagerly.
+
+use std::hash::{Hash, Hasher};
 
 use crate::parity::ByteParity;
 use crate::secded::{Decode, SecDed};
@@ -45,6 +53,9 @@ impl CheckOutcome {
 
 /// One 64-bit data word plus the check bits of its [`Protection`] code.
 ///
+/// Two words are equal when their data, code and check bits are, however
+/// the check bits are held.
+///
 /// ```
 /// use icr_ecc::{ProtectedWord, Protection, CheckOutcome};
 ///
@@ -53,7 +64,7 @@ impl CheckOutcome {
 /// w.flip_data_bit(3);
 /// assert_eq!(w.check_and_correct(), CheckOutcome::DetectedUncorrectable);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub struct ProtectedWord {
     data: u64,
     code: StoredCode,
@@ -61,6 +72,8 @@ pub struct ProtectedWord {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum StoredCode {
+    /// Exactly the code of the stored data, not yet computed.
+    Consistent(Protection),
     Parity(ByteParity),
     SecDed(SecDed),
 }
@@ -68,11 +81,24 @@ enum StoredCode {
 impl ProtectedWord {
     /// Encodes `data` under `protection`.
     pub fn encode(data: u64, protection: Protection) -> Self {
-        let code = match protection {
-            Protection::Parity => StoredCode::Parity(ByteParity::encode(data)),
-            Protection::SecDed => StoredCode::SecDed(SecDed::encode(data)),
-        };
-        ProtectedWord { data, code }
+        ProtectedWord {
+            data,
+            code: StoredCode::Consistent(protection),
+        }
+    }
+
+    /// The check bits as stored: computed from the data when the word
+    /// still carries exactly its data's code.
+    fn stored_code(&self) -> StoredCode {
+        match self.code {
+            StoredCode::Consistent(Protection::Parity) => {
+                StoredCode::Parity(ByteParity::encode(self.data))
+            }
+            StoredCode::Consistent(Protection::SecDed) => {
+                StoredCode::SecDed(SecDed::encode(self.data))
+            }
+            stored => stored,
+        }
     }
 
     /// The stored data word (possibly corrupted; run
@@ -84,6 +110,7 @@ impl ProtectedWord {
     /// The protection code this word is stored under.
     pub fn protection(&self) -> Protection {
         match self.code {
+            StoredCode::Consistent(p) => p,
             StoredCode::Parity(_) => Protection::Parity,
             StoredCode::SecDed(_) => Protection::SecDed,
         }
@@ -108,6 +135,8 @@ impl ProtectedWord {
     /// Panics if `bit >= 64`.
     pub fn flip_data_bit(&mut self, bit: u32) {
         assert!(bit < 64, "data word has 64 bits, got bit {bit}");
+        // The check bits stay those of the data before the flip.
+        self.code = self.stored_code();
         self.data ^= 1u64 << bit;
     }
 
@@ -118,9 +147,11 @@ impl ProtectedWord {
     ///
     /// Panics if `bit >= 8`.
     pub fn flip_check_bit(&mut self, bit: u32) {
+        self.code = self.stored_code();
         match &mut self.code {
             StoredCode::Parity(p) => p.flip_bit(bit),
             StoredCode::SecDed(s) => s.flip_bit(bit),
+            StoredCode::Consistent(_) => unreachable!("stored_code computes the check bits"),
         }
     }
 
@@ -128,6 +159,7 @@ impl ProtectedWord {
     /// place. Models the integrity check a load performs.
     pub fn check_and_correct(&mut self) -> CheckOutcome {
         match self.code {
+            StoredCode::Consistent(_) => CheckOutcome::Clean,
             StoredCode::Parity(p) => {
                 if p.check(self.data).is_clean() {
                     CheckOutcome::Clean
@@ -141,11 +173,12 @@ impl ProtectedWord {
                     self.data = data;
                     // The check bits were consistent with the corrected data
                     // already (the flip was in data), so keep them.
+                    self.code = StoredCode::Consistent(Protection::SecDed);
                     CheckOutcome::CorrectedSingle
                 }
                 Decode::CorrectedCheck { .. } => {
                     // Data was fine; refresh the check bits.
-                    self.code = StoredCode::SecDed(SecDed::encode(self.data));
+                    self.code = StoredCode::Consistent(Protection::SecDed);
                     CheckOutcome::CorrectedSingle
                 }
                 Decode::DoubleError | Decode::MultiError => CheckOutcome::DetectedUncorrectable,
@@ -157,9 +190,25 @@ impl ProtectedWord {
     /// its check without needing correction.
     pub fn is_clean(&self) -> bool {
         match self.code {
+            StoredCode::Consistent(_) => true,
             StoredCode::Parity(p) => p.check(self.data).is_clean(),
             StoredCode::SecDed(s) => matches!(s.decode(self.data), Decode::Clean),
         }
+    }
+}
+
+impl PartialEq for ProtectedWord {
+    fn eq(&self, other: &Self) -> bool {
+        self.data == other.data && self.stored_code() == other.stored_code()
+    }
+}
+
+impl Eq for ProtectedWord {}
+
+impl Hash for ProtectedWord {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.data.hash(state);
+        self.stored_code().hash(state);
     }
 }
 

@@ -102,12 +102,13 @@ impl ParityCheck {
 /// assert_eq!(icr_ecc::word_parity(0x0100), 0b10);    // one set bit in byte 1
 /// ```
 pub fn word_parity(data: u64) -> u8 {
-    let mut out = 0u8;
-    for byte in 0..8 {
-        let b = ((data >> (byte * 8)) & 0xFF) as u8;
-        out |= (b.count_ones() as u8 & 1) << byte;
-    }
-    out
+    // Fold each byte's parity into its bit 0, in all eight bytes at once.
+    let mut x = data ^ (data >> 4);
+    x ^= x >> 2;
+    x ^= x >> 1;
+    // Gather bit 0 of byte i into bit 56 + i: each of the eight partial
+    // products lands on its own bit, so the multiply never carries.
+    ((x & 0x0101_0101_0101_0101).wrapping_mul(0x0102_0408_1020_4080) >> 56) as u8
 }
 
 /// Convenience wrapper: `true` when `stored` matches the parity of `data`.

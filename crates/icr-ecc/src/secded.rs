@@ -38,37 +38,67 @@ const fn data_positions() -> [u32; 64] {
 
 const DATA_POSITIONS: [u32; 64] = data_positions();
 
-/// `GROUP_MASKS[j]` selects the data bits whose codeword position has bit
-/// `j` set, so the parity of `data & GROUP_MASKS[j]` is bit `j` of the XOR
-/// of set data positions. This turns the per-bit position walk into seven
-/// mask-and-popcount steps with bit-identical results.
-const GROUP_MASKS: [u64; 7] = {
-    let mut masks = [0u64; 7];
+/// `DATA_BIT_AT[pos]` is the data bit stored at codeword position `pos`
+/// (the inverse of [`DATA_POSITIONS`]), or [`NO_DATA_BIT`] for position
+/// 0 and the check-bit positions.
+const DATA_BIT_AT: [u8; HAMMING_LEN as usize + 1] = {
+    let mut inv = [NO_DATA_BIT; HAMMING_LEN as usize + 1];
     let mut i = 0;
     while i < 64 {
-        let mut j = 0;
-        while j < 7 {
-            if (DATA_POSITIONS[i] >> j) & 1 == 1 {
-                masks[j] |= 1 << i;
-            }
-            j += 1;
-        }
+        inv[DATA_POSITIONS[i] as usize] = i as u8;
         i += 1;
     }
-    masks
+    inv
 };
 
-/// XOR of the codeword positions of the set bits in `data`, via the
-/// parity-group masks.
+const NO_DATA_BIT: u8 = u8::MAX;
+
+/// `BYTE_SYNDROME[b][v]` folds byte `b` of a data word holding value `v`:
+/// bits 0–6 are the XOR of the codeword positions of its set bits, and
+/// bit 7 is its parity. XORing the eight entries of a word yields the
+/// word's position XOR in bits 0–6 and its data parity in bit 7 — eight
+/// table reads instead of a popcount per parity group.
+const BYTE_SYNDROME: [[u8; 256]; 8] = {
+    let mut table = [[0u8; 256]; 8];
+    let mut b = 0;
+    while b < 8 {
+        let mut v = 0;
+        while v < 256 {
+            let mut acc = 0u32;
+            let mut bit = 0;
+            while bit < 8 {
+                if (v >> bit) & 1 == 1 {
+                    acc ^= DATA_POSITIONS[b * 8 + bit] | 0x80;
+                }
+                bit += 1;
+            }
+            table[b][v] = acc as u8;
+            v += 1;
+        }
+        b += 1;
+    }
+    table
+};
+
+/// The byte-table fold of `data`: the XOR of the codeword positions of
+/// its set bits in bits 0–6, and its parity in bit 7.
 #[inline]
-fn position_xor(data: u64) -> u32 {
-    let mut acc = 0u32;
-    let mut j = 0;
-    while j < 7 {
-        acc |= ((data & GROUP_MASKS[j]).count_ones() & 1) << j;
-        j += 1;
+fn fold(data: u64) -> u8 {
+    let bytes = data.to_le_bytes();
+    let mut acc = 0u8;
+    let mut b = 0;
+    while b < 8 {
+        acc ^= BYTE_SYNDROME[b][bytes[b] as usize];
+        b += 1;
     }
     acc
+}
+
+/// Parity of the bits of `v` (1 when odd).
+#[inline]
+fn parity8(v: u8) -> u8 {
+    let x = v ^ (v >> 4);
+    (0x6996u16 >> (x & 0xF)) as u8 & 1
 }
 
 /// Stored check bits for one 64-bit word under SEC-DED.
@@ -140,13 +170,13 @@ impl SecDed {
     pub fn encode(data: u64) -> Self {
         // Check bit i makes parity group i even, so its value is the i-th
         // bit of the accumulated XOR of set data positions.
-        let mut check = (position_xor(data) & 0x7F) as u8;
+        let folded = fold(data);
+        let check = folded & 0x7F;
         // Overall parity bit makes the whole 72-bit codeword even.
-        let hamming_ones = data.count_ones() + check.count_ones();
-        if hamming_ones % 2 == 1 {
-            check |= 0x80;
+        let overall = (folded >> 7) ^ parity8(check);
+        SecDed {
+            check: check | overall << 7,
         }
-        SecDed { check }
     }
 
     /// Constructs from raw stored check bits (e.g. after fault injection).
@@ -174,11 +204,10 @@ impl SecDed {
     pub fn syndrome(self, data: u64) -> Syndrome {
         // Each set stored check bit i < 7 toggles syndrome bit i; the
         // overall parity covers all 72 stored bits.
-        let acc = position_xor(data) ^ (self.check & 0x7F) as u32;
-        let overall_ones = data.count_ones() + self.check.count_ones();
+        let folded = fold(data);
         Syndrome {
-            position: acc,
-            overall_odd: overall_ones % 2 == 1,
+            position: ((folded ^ self.check) & 0x7F) as u32,
+            overall_odd: (folded >> 7) ^ parity8(self.check) == 1,
         }
     }
 
@@ -194,17 +223,14 @@ impl SecDed {
                     Decode::CorrectedCheck {
                         bit: pos.trailing_zeros(),
                     }
-                } else if pos <= HAMMING_LEN {
-                    let positions = data_positions();
-                    match positions.iter().position(|&p| p == pos) {
-                        Some(i) => Decode::CorrectedData {
-                            bit: i as u32,
+                } else {
+                    match DATA_BIT_AT.get(pos as usize) {
+                        Some(&i) if i != NO_DATA_BIT => Decode::CorrectedData {
+                            bit: u32::from(i),
                             data: data ^ (1u64 << i),
                         },
-                        None => Decode::MultiError,
+                        _ => Decode::MultiError,
                     }
-                } else {
-                    Decode::MultiError
                 }
             }
             (_, false) => Decode::DoubleError,

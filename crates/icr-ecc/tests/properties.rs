@@ -138,3 +138,85 @@ proptest! {
         prop_assert_eq!(w.data(), new);
     }
 }
+
+/// The straightforward definitions the fast codes must reproduce bit for
+/// bit: byte parity as a popcount per byte, and SEC-DED as a walk over
+/// the codeword positions of the set data bits.
+mod reference {
+    /// Bit *i* is the parity of byte *i*, one `count_ones` per byte.
+    pub fn word_parity(data: u64) -> u8 {
+        let mut out = 0u8;
+        for byte in 0..8 {
+            let b = ((data >> (byte * 8)) & 0xFF) as u8;
+            out |= (b.count_ones() as u8 & 1) << byte;
+        }
+        out
+    }
+
+    /// Codeword positions `1..=71` that are not powers of two, in
+    /// increasing order: position of data bit *i* is entry *i*.
+    pub fn data_positions() -> Vec<u32> {
+        (1..=71u32).filter(|p| !p.is_power_of_two()).collect()
+    }
+
+    /// XOR of the codeword positions of the set bits of `data`.
+    fn position_xor(data: u64) -> u32 {
+        data_positions()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| (data >> i) & 1 == 1)
+            .fold(0, |acc, (_, &p)| acc ^ p)
+    }
+
+    /// Hamming check bits 0–6 from the position walk, plus the overall
+    /// parity bit 7 that makes the 72-bit codeword even.
+    pub fn encode(data: u64) -> u8 {
+        let mut check = (position_xor(data) & 0x7F) as u8;
+        if (data.count_ones() + check.count_ones()) % 2 == 1 {
+            check |= 0x80;
+        }
+        check
+    }
+
+    /// `(position, overall_odd)` of (`data`, stored `check`).
+    pub fn syndrome(data: u64, check: u8) -> (u32, bool) {
+        let position = position_xor(data) ^ u32::from(check & 0x7F);
+        (position, (data.count_ones() + check.count_ones()) % 2 == 1)
+    }
+}
+
+proptest! {
+    /// The parity fold equals one popcount per byte on every word.
+    #[test]
+    fn word_parity_matches_per_byte_popcount(data: u64) {
+        prop_assert_eq!(icr_ecc::word_parity(data), reference::word_parity(data));
+    }
+
+    /// The byte-table SEC-DED encoder equals the position walk.
+    #[test]
+    fn secded_encode_matches_position_walk(data: u64) {
+        prop_assert_eq!(SecDed::encode(data).bits(), reference::encode(data));
+    }
+
+    /// The syndrome equals the position walk for any stored check bits,
+    /// consistent or not.
+    #[test]
+    fn secded_syndrome_matches_position_walk(data: u64, check: u8) {
+        let syn = SecDed::from_bits(check).syndrome(data);
+        prop_assert_eq!((syn.position, syn.overall_odd), reference::syndrome(data, check));
+    }
+}
+
+/// Sparse and dense words, which random `u64`s almost never are, against
+/// the same references.
+#[test]
+fn codes_match_the_references_on_sparse_and_dense_words() {
+    for a in 0..64 {
+        for b in 0..64 {
+            for data in [1u64 << a | 1 << b, !(1u64 << a | 1 << b)] {
+                assert_eq!(icr_ecc::word_parity(data), reference::word_parity(data));
+                assert_eq!(SecDed::encode(data).bits(), reference::encode(data));
+            }
+        }
+    }
+}

@@ -54,6 +54,10 @@ pub struct SetIndex(pub usize);
 
 /// Shape of a set-associative cache: total size, associativity, block size.
 ///
+/// Every dimension is a power of two ([`new`](Self::new) asserts it), so
+/// the address split is shifts and masks, with the shift counts derived
+/// from the dimensions by `trailing_zeros` — no division on any access.
+///
 /// ```
 /// use icr_mem::CacheGeometry;
 ///
@@ -121,12 +125,26 @@ impl CacheGeometry {
 
     /// Number of sets.
     pub fn num_sets(self) -> usize {
-        self.size_bytes / (self.associativity * self.block_bytes)
+        1 << self.index_bits()
     }
 
     /// Number of 64-bit words in one block.
     pub fn words_per_block(self) -> usize {
         self.block_bytes / 8
+    }
+
+    /// log2 of the block size: the block-offset bit count.
+    #[inline]
+    fn offset_bits(self) -> u32 {
+        self.block_bytes.trailing_zeros()
+    }
+
+    /// log2 of the set count: the set-index bit count.
+    #[inline]
+    fn index_bits(self) -> u32 {
+        self.size_bytes.trailing_zeros()
+            - self.associativity.trailing_zeros()
+            - self.block_bytes.trailing_zeros()
     }
 
     /// Clears the offset bits of a byte address, yielding its block address.
@@ -136,31 +154,29 @@ impl CacheGeometry {
 
     /// The set a block maps to.
     pub fn set_index(self, block: BlockAddr) -> SetIndex {
-        let idx = (block.0 / self.block_bytes as u64) as usize & (self.num_sets() - 1);
-        SetIndex(idx)
+        SetIndex((block.0 >> self.offset_bits()) as usize & (self.num_sets() - 1))
     }
 
     /// The tag of a block (the address bits above the set index).
     pub fn tag(self, block: BlockAddr) -> u64 {
-        block.0 / self.block_bytes as u64 / self.num_sets() as u64
+        block.0 >> (self.offset_bits() + self.index_bits())
     }
 
     /// Index of the 64-bit word within its block that `addr` falls into.
     pub fn word_index(self, addr: Addr) -> usize {
-        ((addr.0 as usize) & (self.block_bytes - 1)) / 8
+        ((addr.0 as usize) & (self.block_bytes - 1)) >> 3
     }
 
     /// Reassembles a block address from a tag and set index (inverse of
     /// [`tag`](Self::tag) + [`set_index`](Self::set_index)).
     pub fn block_addr_from_parts(self, tag: u64, set: SetIndex) -> BlockAddr {
-        BlockAddr((tag * self.num_sets() as u64 + set.0 as u64) * self.block_bytes as u64)
+        BlockAddr((tag << self.index_bits()).wrapping_add(set.0 as u64) << self.offset_bits())
     }
 
     /// The set at signed distance `k` from `set`, wrapping modulo the number
     /// of sets — the paper's "distance-k" replica placement.
     pub fn set_at_distance(self, set: SetIndex, k: isize) -> SetIndex {
-        let n = self.num_sets() as isize;
-        SetIndex(((set.0 as isize + k).rem_euclid(n)) as usize)
+        SetIndex((set.0 as isize).wrapping_add(k) as usize & (self.num_sets() - 1))
     }
 }
 

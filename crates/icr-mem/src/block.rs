@@ -12,10 +12,6 @@ pub struct DataBlock {
 }
 
 impl DataBlock {
-    /// A block of no words, owning no heap storage: the placeholder an
-    /// invalid cache line holds.
-    pub(crate) const EMPTY: DataBlock = DataBlock { words: Vec::new() };
-
     /// A block of `words_per_block` zero words.
     pub fn zeroed(words_per_block: usize) -> Self {
         DataBlock {
@@ -32,9 +28,8 @@ impl DataBlock {
     /// a cheap address mix so every block has distinctive, reproducible
     /// data without storing the whole address space.
     pub fn pristine(addr: BlockAddr, words_per_block: usize) -> Self {
-        let words = (0..words_per_block as u64)
-            .map(|i| splitmix64(addr.raw().wrapping_add(i.wrapping_mul(8))))
-            .collect();
+        let mut words = vec![0; words_per_block];
+        pristine_into(addr, &mut words);
         DataBlock { words }
     }
 
@@ -70,6 +65,18 @@ impl DataBlock {
     /// All words, in block order.
     pub fn words(&self) -> &[u64] {
         &self.words
+    }
+
+    /// All words, writable.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+}
+
+/// Writes the [`DataBlock::pristine`] words of `addr` into `out`.
+pub(crate) fn pristine_into(addr: BlockAddr, out: &mut [u64]) {
+    for (i, w) in (0u64..).zip(out) {
+        *w = splitmix64(addr.raw().wrapping_add(i.wrapping_mul(8)));
     }
 }
 

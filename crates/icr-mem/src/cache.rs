@@ -28,26 +28,17 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-/// One way of one set. Invalid lines hold an empty [`DataBlock`], which
-/// owns no heap storage: a cold cache allocates nothing per line.
-#[derive(Debug, Clone)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    data: DataBlock,
-}
-
-impl Line {
-    const INVALID: Line = Line {
-        valid: false,
-        dirty: false,
-        tag: 0,
-        data: DataBlock::EMPTY,
-    };
-}
+/// The arena offset of a line that was never filled.
+const UNPLACED: usize = usize::MAX;
 
 /// Set-associative write-back cache storing real block data.
+///
+/// Lines are stored structure-of-arrays, indexed by the flat slot
+/// `set * ways + way`: a tag, valid and dirty flag per slot. Words live
+/// in one arena that a line joins at its first fill and keeps for the
+/// cache's lifetime: every later fill copies words into place, so the
+/// arena grows only while lines are first used, and a short run that
+/// touches few lines holds few words.
 ///
 /// ```
 /// use icr_mem::{Cache, CacheGeometry, AccessKind, DataBlock, BlockAddr};
@@ -62,8 +53,14 @@ impl Line {
 pub struct Cache {
     geometry: CacheGeometry,
     hit_latency: u64,
-    /// Every line, slot-indexed: way `w` of set `s` is `lines[s * ways + w]`.
-    lines: Vec<Line>,
+    tags: Vec<u64>,
+    valid: Vec<bool>,
+    dirty: Vec<bool>,
+    /// Arena offset of each slot's words, [`UNPLACED`] until its first
+    /// fill.
+    offsets: Vec<usize>,
+    /// Word arena: slot `sl`'s words are `words[offsets[sl]..][..wpb]`.
+    words: Vec<u64>,
     /// Recency order per set.
     lru: Vec<LruQueue>,
     stats: CacheStats,
@@ -73,12 +70,16 @@ impl Cache {
     /// Creates an empty cache with the given shape and hit latency.
     pub fn new(geometry: CacheGeometry, hit_latency: u64) -> Self {
         let sets = geometry.num_sets();
-        let ways = geometry.associativity();
+        let slots = sets * geometry.associativity();
         Cache {
             geometry,
             hit_latency,
-            lines: vec![Line::INVALID; sets * ways],
-            lru: vec![LruQueue::new(ways); sets],
+            tags: vec![0; slots],
+            valid: vec![false; slots],
+            dirty: vec![false; slots],
+            offsets: vec![UNPLACED; slots],
+            words: Vec::new(),
+            lru: vec![LruQueue::new(geometry.associativity()); sets],
             stats: CacheStats::default(),
         }
     }
@@ -98,26 +99,30 @@ impl Cache {
         &self.stats
     }
 
-    /// The lines of set `set`, way-indexed.
-    fn set_lines(&self, set: usize) -> &[Line] {
-        let ways = self.geometry.associativity();
-        &self.lines[set * ways..(set + 1) * ways]
-    }
-
     /// `(set, way)` of the resident block, if any.
     fn find(&self, addr: BlockAddr) -> Option<(usize, usize)> {
         let tag = self.geometry.tag(addr);
         let set = self.geometry.set_index(addr).0;
-        let way = self
-            .set_lines(set)
-            .iter()
-            .position(|l| l.valid && l.tag == tag)?;
+        let ways = self.geometry.associativity();
+        let base = set * ways;
+        let way = (0..ways).find(|&w| self.valid[base + w] && self.tags[base + w] == tag)?;
         Some((set, way))
     }
 
-    /// The line at `(set, way)`.
-    fn line_mut(&mut self, set: usize, way: usize) -> &mut Line {
-        &mut self.lines[set * self.geometry.associativity() + way]
+    /// The flat slot of (`set`, `way`).
+    fn slot(&self, set: usize, way: usize) -> usize {
+        set * self.geometry.associativity() + way
+    }
+
+    /// The words of the line in `slot` (filled at least once).
+    pub(crate) fn slot_words(&self, slot: usize) -> &[u64] {
+        &self.words[self.offsets[slot]..][..self.geometry.words_per_block()]
+    }
+
+    /// The words of the line in `slot`, writable.
+    pub(crate) fn slot_words_mut(&mut self, slot: usize) -> &mut [u64] {
+        let wpb = self.geometry.words_per_block();
+        &mut self.words[self.offsets[slot]..][..wpb]
     }
 
     /// `true` when the block is resident (no state change, no stats).
@@ -138,6 +143,11 @@ impl Cache {
     /// Looks the block up, updating LRU and stats. Returns `true` on hit.
     /// On a write hit, the line is marked dirty.
     pub fn lookup(&mut self, addr: BlockAddr, kind: AccessKind) -> bool {
+        self.access(addr, kind).is_some()
+    }
+
+    /// [`lookup`](Self::lookup), returning the hit line's slot.
+    pub(crate) fn access(&mut self, addr: BlockAddr, kind: AccessKind) -> Option<usize> {
         let hit = self.find(addr);
         match kind {
             AccessKind::Read => {
@@ -153,14 +163,13 @@ impl Cache {
                 }
             }
         }
-        let Some((set, way)) = hit else {
-            return false;
-        };
+        let (set, way) = hit?;
         self.lru[set].touch(way);
+        let slot = self.slot(set, way);
         if kind == AccessKind::Write {
-            self.line_mut(set, way).dirty = true;
+            self.dirty[slot] = true;
         }
-        true
+        Some(slot)
     }
 
     /// Reads a word of a resident block, updating LRU.
@@ -169,7 +178,7 @@ impl Cache {
     pub fn read_word(&mut self, addr: BlockAddr, word: usize) -> Option<u64> {
         let (set, way) = self.find(addr)?;
         self.lru[set].touch(way);
-        Some(self.line_mut(set, way).data.word(word))
+        Some(self.slot_words(self.slot(set, way))[word])
     }
 
     /// Writes a word of a resident block, marking it dirty.
@@ -180,31 +189,35 @@ impl Cache {
             return false;
         };
         self.lru[set].touch(way);
-        let line = self.line_mut(set, way);
-        line.data.set_word(word, value);
-        line.dirty = true;
+        let slot = self.slot(set, way);
+        self.slot_words_mut(slot)[word] = value;
+        self.dirty[slot] = true;
         true
     }
 
-    /// Reads a whole resident block without disturbing LRU (used when an
-    /// upper level refetches after an error).
-    pub fn peek_block(&self, addr: BlockAddr) -> Option<&DataBlock> {
+    /// The words of a resident block, read without disturbing LRU (used
+    /// when an upper level refetches after an error).
+    pub fn peek_block(&self, addr: BlockAddr) -> Option<&[u64]> {
         let (set, way) = self.find(addr)?;
-        Some(&self.set_lines(set)[way].data)
+        Some(self.slot_words(self.slot(set, way)))
     }
 
     /// Overwrites a resident block's data in place, marking it dirty
     /// (a full-block writeback arriving from an upper level).
     ///
     /// Returns `false` when the block is not resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not one block of words.
     pub fn update_block(&mut self, addr: BlockAddr, data: DataBlock) -> bool {
         let Some((set, way)) = self.find(addr) else {
             return false;
         };
         self.lru[set].touch(way);
-        let line = self.line_mut(set, way);
-        line.data = data;
-        line.dirty = true;
+        let slot = self.slot(set, way);
+        self.slot_words_mut(slot).copy_from_slice(data.words());
+        self.dirty[slot] = true;
         true
     }
 
@@ -215,61 +228,86 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the block is already resident (fill implies a prior miss).
+    /// Panics if the block is already resident (fill implies a prior
+    /// miss), or if `data` is not one block of words.
     pub fn fill(&mut self, addr: BlockAddr, data: DataBlock, dirty: bool) -> Option<Evicted> {
+        let (slot, evicted) = self.claim(addr, dirty);
+        let evicted = evicted.map(|(addr, dirty)| Evicted {
+            addr,
+            data: DataBlock::from_words(self.slot_words(slot).to_vec()),
+            dirty,
+        });
+        self.slot_words_mut(slot).copy_from_slice(data.words());
+        evicted
+    }
+
+    /// The bookkeeping half of a fill: picks the way (an invalid one,
+    /// else the LRU), makes it MRU and valid for `addr`, and counts the
+    /// fill. Returns its slot and the `(block, dirty)` it displaced, if
+    /// any — whose words stay in the slot until the caller overwrites
+    /// them, so a dirty victim can be written back first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is already resident (fill implies a prior miss).
+    pub(crate) fn claim(
+        &mut self,
+        addr: BlockAddr,
+        dirty: bool,
+    ) -> (usize, Option<(BlockAddr, bool)>) {
         assert!(
             self.find(addr).is_none(),
             "fill of already-resident block {addr}"
         );
         self.stats.fills += 1;
-        let tag = self.geometry.tag(addr);
         let set = self.geometry.set_index(addr).0;
-
+        let base = self.slot(set, 0);
         // Prefer an invalid way; otherwise evict LRU.
-        let way = match self.set_lines(set).iter().position(|l| !l.valid) {
+        let way = match (0..self.geometry.associativity()).find(|&w| !self.valid[base + w]) {
             Some(w) => w,
             None => self.lru[set].victim(),
         };
         self.lru[set].touch(way);
-        let geometry = self.geometry;
-        let old = std::mem::replace(
-            self.line_mut(set, way),
-            Line {
-                valid: true,
-                dirty,
-                tag,
-                data,
-            },
-        );
-        if !old.valid {
-            return None;
+        let slot = base + way;
+        let evicted = self.valid[slot].then(|| {
+            self.stats.evictions += 1;
+            if self.dirty[slot] {
+                self.stats.writebacks += 1;
+            }
+            (
+                self.geometry
+                    .block_addr_from_parts(self.tags[slot], SetIndex(set)),
+                self.dirty[slot],
+            )
+        });
+        self.valid[slot] = true;
+        self.dirty[slot] = dirty;
+        self.tags[slot] = self.geometry.tag(addr);
+        if self.offsets[slot] == UNPLACED {
+            self.offsets[slot] = self.words.len();
+            let wpb = self.geometry.words_per_block();
+            self.words.resize(self.words.len() + wpb, 0);
         }
-        self.stats.evictions += 1;
-        if old.dirty {
-            self.stats.writebacks += 1;
-        }
-        Some(Evicted {
-            addr: geometry.block_addr_from_parts(old.tag, SetIndex(set)),
-            data: old.data,
-            dirty: old.dirty,
-        })
+        (slot, evicted)
     }
 
     /// Invalidates a block if resident, returning it (for flush modelling).
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Evicted> {
         let (set, way) = self.find(addr)?;
-        let geometry = self.geometry;
-        let old = std::mem::replace(self.line_mut(set, way), Line::INVALID);
+        let slot = self.slot(set, way);
+        self.valid[slot] = false;
         Some(Evicted {
-            addr: geometry.block_addr_from_parts(old.tag, SetIndex(set)),
-            data: old.data,
-            dirty: old.dirty,
+            addr: self
+                .geometry
+                .block_addr_from_parts(self.tags[slot], SetIndex(set)),
+            data: DataBlock::from_words(self.slot_words(slot).to_vec()),
+            dirty: self.dirty[slot],
         })
     }
 
     /// Number of valid blocks currently resident.
     pub fn resident_blocks(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.valid.iter().filter(|&&v| v).count()
     }
 }
 
@@ -346,7 +384,7 @@ mod tests {
         let mut d = DataBlock::zeroed(8);
         d.set_word(0, 7);
         assert!(c.update_block(a, d.clone()));
-        assert_eq!(c.peek_block(a), Some(&d));
+        assert_eq!(c.peek_block(a), Some(d.words()));
         // Evicting it now reports dirty.
         c.fill(BlockAddr(128), blk(128), false);
         c.lookup(BlockAddr(128), AccessKind::Read);

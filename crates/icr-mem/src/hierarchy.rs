@@ -340,36 +340,62 @@ impl MemoryBackend {
     /// Serves an L1 read miss: returns the block's data and the latency in
     /// cycles (L2 hit latency, plus memory latency on an L2 miss).
     pub fn read_block(&mut self, addr: BlockAddr) -> (DataBlock, u64) {
-        if self.l2.lookup(addr, AccessKind::Read) {
-            let data = self
-                .l2
-                .peek_block(addr)
-                .expect("hit implies resident")
-                .clone();
-            (data, self.l2.hit_latency())
-        } else {
-            let (data, mem_lat) = self.memory.read_block(addr);
-            if let Some(ev) = self.l2.fill(addr, data.clone(), false) {
-                if ev.dirty {
-                    self.memory.write_block(ev.addr, ev.data);
-                }
-            }
-            (data, self.l2.hit_latency() + mem_lat)
+        let mut data = DataBlock::zeroed(self.l2.geometry().words_per_block());
+        let lat = self.read_block_into(addr, data.words_mut());
+        (data, lat)
+    }
+
+    /// [`read_block`](Self::read_block) into `out`, one L2 block of
+    /// words: the allocation-free form the data L1's misses use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not one L2 block of words.
+    pub fn read_block_into(&mut self, addr: BlockAddr, out: &mut [u64]) -> u64 {
+        if let Some(slot) = self.l2.access(addr, AccessKind::Read) {
+            out.copy_from_slice(self.l2.slot_words(slot));
+            return self.l2.hit_latency();
         }
+        // Memory is read before the L2 victim is written back, so an
+        // open-row model sees the accesses in that order.
+        let mem_lat = self.memory.read_into(addr, out);
+        let slot = self.fill_l2(addr, false);
+        self.l2.slot_words_mut(slot).copy_from_slice(out);
+        self.l2.hit_latency() + mem_lat
     }
 
     /// Absorbs a dirty block written back (or written through) from an L1.
     /// Returns the latency in cycles. Full-block writes allocate in L2
     /// without fetching from memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not one L2 block of words.
     pub fn write_block(&mut self, addr: BlockAddr, data: DataBlock) -> u64 {
-        if self.l2.lookup(addr, AccessKind::Write) {
-            self.l2.update_block(addr, data);
-        } else if let Some(ev) = self.l2.fill(addr, data, true) {
-            if ev.dirty {
-                self.memory.write_block(ev.addr, ev.data);
-            }
-        }
+        self.write_block_with(addr, |out| out.copy_from_slice(data.words()))
+    }
+
+    /// [`write_block`](Self::write_block) with the block's words written
+    /// by `fill` straight into the L2 line: the allocation-free form the
+    /// data L1's writebacks use.
+    pub fn write_block_with(&mut self, addr: BlockAddr, fill: impl FnOnce(&mut [u64])) -> u64 {
+        let slot = match self.l2.access(addr, AccessKind::Write) {
+            Some(slot) => slot,
+            None => self.fill_l2(addr, true),
+        };
+        fill(self.l2.slot_words_mut(slot));
         self.l2.hit_latency()
+    }
+
+    /// Claims an L2 line for `addr`, writing a dirty victim back to
+    /// memory first. Returns the line's slot; its words are the caller's
+    /// to fill.
+    fn fill_l2(&mut self, addr: BlockAddr, dirty: bool) -> usize {
+        let (slot, evicted) = self.l2.claim(addr, dirty);
+        if let Some((victim, true)) = evicted {
+            self.memory.write_words(victim, self.l2.slot_words(slot));
+        }
+        slot
     }
 
     /// L2 statistics.
@@ -402,7 +428,7 @@ impl MemoryBackend {
     /// else memory contents.
     pub fn golden_block(&self, addr: BlockAddr) -> DataBlock {
         match self.l2.peek_block(addr) {
-            Some(b) => b.clone(),
+            Some(words) => DataBlock::from_words(words.to_vec()),
             None => self.memory.peek_block(addr),
         }
     }
@@ -645,7 +671,7 @@ mod tests {
         // The icache block at 0x5020 contains words 4..8 of L2 block 0x5000.
         let golden = DataBlock::pristine(BlockAddr(0x5000), 8);
         let ic_block = ic.cache.peek_block(BlockAddr(0x5020)).unwrap();
-        assert_eq!(ic_block.word(0), golden.word(4));
-        assert_eq!(ic_block.word(3), golden.word(7));
+        assert_eq!(ic_block[0], golden.word(4));
+        assert_eq!(ic_block[3], golden.word(7));
     }
 }

@@ -98,19 +98,15 @@ impl LruQueue {
         self.order[self.len as usize - 1] as usize
     }
 
-    /// The least-recently-used way among those where `eligible[way]` is
-    /// `true`, or `None` if no way is eligible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `eligible.len()` differs from the number of ways.
-    pub fn victim_among(&self, eligible: &[bool]) -> Option<usize> {
-        assert_eq!(eligible.len(), self.ways(), "mask length mismatch");
+    /// The least-recently-used way among those whose bit is set in the
+    /// way mask `eligible` (bit *w* for way *w*), or `None` if no way is
+    /// eligible. Bits at or above the number of ways are ignored.
+    pub fn victim_among(&self, eligible: u16) -> Option<usize> {
         self.order()
             .iter()
             .rev()
             .map(|&w| w as usize)
-            .find(|&w| eligible[w])
+            .find(|&w| eligible >> w & 1 == 1)
     }
 
     /// Ways from most- to least-recently used (for inspection/tests).
@@ -162,9 +158,9 @@ mod tests {
         q.touch(3);
         assert_eq!(q.victim(), 0);
         // But only ways 2 and 3 are eligible: pick 2 (less recent than 3).
-        assert_eq!(q.victim_among(&[false, false, true, true]), Some(2));
-        assert_eq!(q.victim_among(&[false; 4]), None);
-        assert_eq!(q.victim_among(&[true; 4]), Some(0));
+        assert_eq!(q.victim_among(0b1100), Some(2));
+        assert_eq!(q.victim_among(0), None);
+        assert_eq!(q.victim_among(0b1111), Some(0));
     }
 
     #[test]
@@ -180,8 +176,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mask length mismatch")]
-    fn wrong_mask_length_panics() {
-        LruQueue::new(4).victim_among(&[true; 3]);
+    fn mask_bits_beyond_the_ways_are_ignored() {
+        let q = LruQueue::new(4);
+        assert_eq!(q.victim_among(0xFFF0), None);
+        assert_eq!(q.victim_among(0xFFF1), Some(0));
     }
 }

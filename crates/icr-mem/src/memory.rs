@@ -13,8 +13,31 @@
 //! traffic interacts with locality below the caches.
 
 use crate::addr::BlockAddr;
-use crate::block::DataBlock;
+use crate::block::{pristine_into, splitmix64, DataBlock};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a block address with the SplitMix64 finaliser. Block addresses
+/// are distinct aligned words and nothing iterates the written-block
+/// map, so a keyed hash would buy nothing on the miss path it sits on.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = splitmix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = splitmix64(self.0 ^ v);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Open-page DRAM timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +88,7 @@ pub struct MainMemory {
     /// Open row per bank (row-buffer mode).
     open_rows: Vec<Option<u64>>,
     row_hits: u64,
-    written: HashMap<BlockAddr, DataBlock>,
+    written: HashMap<BlockAddr, DataBlock, BuildHasherDefault<BlockHasher>>,
     reads: u64,
     writes: u64,
 }
@@ -85,7 +108,7 @@ impl MainMemory {
             row_buffer: None,
             open_rows: Vec::new(),
             row_hits: 0,
-            written: HashMap::new(),
+            written: HashMap::default(),
             reads: 0,
             writes: 0,
         }
@@ -139,18 +162,39 @@ impl MainMemory {
     /// Reads a block, counting one memory access. Returns the data and the
     /// access latency.
     pub fn read_block(&mut self, addr: BlockAddr) -> (DataBlock, u64) {
+        let mut data = DataBlock::zeroed(self.words_per_block);
+        let lat = self.read_into(addr, data.words_mut());
+        (data, lat)
+    }
+
+    /// [`read_block`](Self::read_block) into `out`, one block of words.
+    /// Returns the access latency.
+    pub fn read_into(&mut self, addr: BlockAddr, out: &mut [u64]) -> u64 {
         self.reads += 1;
         let lat = self.access_latency(addr);
-        (self.peek_block(addr), lat)
+        self.peek_into(addr, out);
+        lat
     }
 
     /// Reads a block without counting an access (for verification in tests
     /// and for error-recovery bookkeeping).
     pub fn peek_block(&self, addr: BlockAddr) -> DataBlock {
-        self.written
-            .get(&addr)
-            .cloned()
-            .unwrap_or_else(|| DataBlock::pristine(addr, self.words_per_block))
+        let mut data = DataBlock::zeroed(self.words_per_block);
+        self.peek_into(addr, data.words_mut());
+        data
+    }
+
+    /// [`peek_block`](Self::peek_block) into `out`, one block of words.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not one block of words.
+    pub fn peek_into(&self, addr: BlockAddr, out: &mut [u64]) {
+        assert_eq!(out.len(), self.words_per_block, "block size mismatch");
+        match self.written.get(&addr) {
+            Some(data) => out.copy_from_slice(data.words()),
+            None => pristine_into(addr, out),
+        }
     }
 
     /// Writes a full block back to memory.
@@ -159,11 +203,27 @@ impl MainMemory {
     ///
     /// Panics if the block's word count differs from this memory's.
     pub fn write_block(&mut self, addr: BlockAddr, data: DataBlock) {
-        assert_eq!(data.len(), self.words_per_block, "block size mismatch");
+        self.write_words(addr, data.words());
+    }
+
+    /// [`write_block`](Self::write_block) from a slice of words; a block
+    /// written before is overwritten in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block's word count differs from this memory's.
+    pub fn write_words(&mut self, addr: BlockAddr, words: &[u64]) {
+        assert_eq!(words.len(), self.words_per_block, "block size mismatch");
         self.writes += 1;
         // Writes also stream through the row buffer.
         let _ = self.access_latency(addr);
-        self.written.insert(addr, data);
+        match self.written.get_mut(&addr) {
+            Some(data) => data.words_mut().copy_from_slice(words),
+            None => {
+                self.written
+                    .insert(addr, DataBlock::from_words(words.to_vec()));
+            }
+        }
     }
 
     /// Number of block reads served.

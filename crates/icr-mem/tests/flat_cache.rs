@@ -240,7 +240,7 @@ proptest! {
                 }
                 5 => prop_assert_eq!(flat.invalidate(a), reference.invalidate(a)),
                 6 => {
-                    let expected = reference.find(a).map(|(s, w)| &reference.sets[s].lines[w].data);
+                    let expected = reference.find(a).map(|(s, w)| reference.sets[s].lines[w].data.words());
                     prop_assert_eq!(flat.peek_block(a), expected);
                 }
                 _ => prop_assert_eq!(flat.contains(a), reference.find(a).is_some()),
@@ -274,7 +274,7 @@ proptest! {
                 2 => prop_assert_eq!(inline.victim(), reference.victim()),
                 _ => {
                     let mask: Vec<bool> = (0..ways).map(|w| mask_bits & (1 << w) != 0).collect();
-                    prop_assert_eq!(inline.victim_among(&mask), reference.victim_among(&mask));
+                    prop_assert_eq!(inline.victim_among(mask_bits), reference.victim_among(&mask));
                 }
             }
             prop_assert_eq!(inline.mru_to_lru(), reference.0.clone());

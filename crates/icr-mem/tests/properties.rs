@@ -16,7 +16,80 @@ fn arb_geometry() -> impl Strategy<Value = CacheGeometry> {
     })
 }
 
+/// The division-based address split the shift-and-mask geometry must
+/// reproduce: `(size, assoc, block)` of `g` and its arithmetic spelled
+/// out with `/`, `*` and `rem_euclid`.
+mod reference {
+    use super::*;
+
+    pub fn num_sets(g: CacheGeometry) -> usize {
+        g.size_bytes() / (g.associativity() * g.block_bytes())
+    }
+
+    pub fn set_index(g: CacheGeometry, block: BlockAddr) -> usize {
+        (block.raw() / g.block_bytes() as u64) as usize & (num_sets(g) - 1)
+    }
+
+    pub fn tag(g: CacheGeometry, block: BlockAddr) -> u64 {
+        block.raw() / g.block_bytes() as u64 / num_sets(g) as u64
+    }
+
+    pub fn block_addr_from_parts(g: CacheGeometry, tag: u64, set: usize) -> u64 {
+        tag.wrapping_mul(num_sets(g) as u64)
+            .wrapping_add(set as u64)
+            .wrapping_mul(g.block_bytes() as u64)
+    }
+
+    pub fn set_at_distance(g: CacheGeometry, set: usize, k: isize) -> usize {
+        (set as isize + k).rem_euclid(num_sets(g) as isize) as usize
+    }
+}
+
+/// Distances at and beyond the set count `n`, on both sides.
+fn far_distances(k: isize, n: isize) -> [isize; 4] {
+    [k * n, -(n + 1), n + 1, k % n - 3 * n]
+}
+
 proptest! {
+    /// The five address-split methods equal their division-based
+    /// definitions for every geometry, address and distance — negative
+    /// `k` and `|k|` beyond the set count included.
+    #[test]
+    fn geometry_matches_division_reference(
+        g in arb_geometry(),
+        raw: u64,
+        tag_raw: u64,
+        set_raw: usize,
+        k in -100_000isize..100_000,
+    ) {
+        prop_assert_eq!(g.num_sets(), reference::num_sets(g));
+        let b = g.block_addr(Addr(raw));
+        prop_assert_eq!(g.set_index(b).0, reference::set_index(g, b));
+        prop_assert_eq!(g.tag(b), reference::tag(g, b));
+        let set = set_raw % g.num_sets();
+        // Any tag, including ones whose reassembly wraps past 2^64.
+        prop_assert_eq!(
+            g.block_addr_from_parts(tag_raw, SetIndex(set)).raw(),
+            reference::block_addr_from_parts(g, tag_raw, set)
+        );
+        prop_assert_eq!(
+            g.block_addr_from_parts(g.tag(b), g.set_index(b)).raw(),
+            reference::block_addr_from_parts(g, reference::tag(g, b), reference::set_index(g, b))
+        );
+        prop_assert_eq!(
+            g.set_at_distance(SetIndex(set), k).0,
+            reference::set_at_distance(g, set, k)
+        );
+        let n = g.num_sets() as isize;
+        for far in far_distances(k, n) {
+            prop_assert_eq!(
+                g.set_at_distance(SetIndex(set), far).0,
+                reference::set_at_distance(g, set, far),
+                "k = {}", far
+            );
+        }
+    }
+
     /// tag + set index fully determine the block address.
     #[test]
     fn geometry_tag_set_roundtrip(g in arb_geometry(), raw: u64) {
@@ -74,7 +147,7 @@ proptest! {
             q.touch(t % ways);
         }
         let mask: Vec<bool> = (0..ways).map(|w| mask_bits & (1 << w) != 0).collect();
-        match q.victim_among(&mask) {
+        match q.victim_among(u16::from(mask_bits)) {
             None => prop_assert!(mask.iter().all(|&e| !e)),
             Some(v) => {
                 prop_assert!(mask[v]);
