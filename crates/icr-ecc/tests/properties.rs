@@ -220,3 +220,44 @@ fn codes_match_the_references_on_sparse_and_dense_words() {
         }
     }
 }
+
+proptest! {
+    /// Check bits computed when a fault first touches a word are the ones
+    /// an eager encode would have stored: any single strike, on a data or
+    /// a check bit, is detected under parity and corrected under SEC-DED.
+    #[test]
+    fn deferred_check_bits_decode_like_eager_ones(data: u64, bit in 0u32..72, secded: bool) {
+        let prot = if secded { Protection::SecDed } else { Protection::Parity };
+        let mut w = ProtectedWord::encode(data, prot);
+        if bit < 64 {
+            w.flip_data_bit(bit);
+        } else {
+            w.flip_check_bit(bit - 64);
+        }
+        let expected = if secded {
+            CheckOutcome::CorrectedSingle
+        } else {
+            CheckOutcome::DetectedUncorrectable
+        };
+        prop_assert_eq!(w.check_and_correct(), expected);
+        if secded {
+            prop_assert_eq!(w, ProtectedWord::encode(data, prot));
+        }
+    }
+
+    /// A word whose bits were flipped and flipped back equals, and hashes
+    /// like, the word encoded afresh.
+    #[test]
+    fn words_compare_by_their_bits(data: u64, bit in 0u32..64, secded: bool) {
+        use std::hash::{BuildHasher, RandomState};
+        let prot = if secded { Protection::SecDed } else { Protection::Parity };
+        let fresh = ProtectedWord::encode(data, prot);
+        let mut w = fresh;
+        w.flip_data_bit(bit);
+        prop_assert_ne!(w, fresh);
+        w.flip_data_bit(bit);
+        prop_assert_eq!(w, fresh);
+        let s = RandomState::new();
+        prop_assert_eq!(s.hash_one(w), s.hash_one(fresh));
+    }
+}

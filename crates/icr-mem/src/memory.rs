@@ -13,31 +13,8 @@
 //! traffic interacts with locality below the caches.
 
 use crate::addr::BlockAddr;
-use crate::block::{pristine_into, splitmix64, DataBlock};
+use crate::block::{pristine_into, DataBlock};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Hashes a block address with the SplitMix64 finaliser. Block addresses
-/// are distinct aligned words and nothing iterates the written-block
-/// map, so a keyed hash would buy nothing on the miss path it sits on.
-#[derive(Debug, Clone, Copy, Default)]
-struct BlockHasher(u64);
-
-impl Hasher for BlockHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = splitmix64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = splitmix64(self.0 ^ v);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Open-page DRAM timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +65,7 @@ pub struct MainMemory {
     /// Open row per bank (row-buffer mode).
     open_rows: Vec<Option<u64>>,
     row_hits: u64,
-    written: HashMap<BlockAddr, DataBlock, BuildHasherDefault<BlockHasher>>,
+    written: HashMap<BlockAddr, DataBlock>,
     reads: u64,
     writes: u64,
 }
@@ -108,7 +85,7 @@ impl MainMemory {
             row_buffer: None,
             open_rows: Vec::new(),
             row_hits: 0,
-            written: HashMap::default(),
+            written: HashMap::new(),
             reads: 0,
             writes: 0,
         }
