@@ -68,9 +68,11 @@ bench-all-gate:
 	ICR_BENCH_GATE=1 $(CARGO) bench -p icr-bench --bench all
 
 ## Layer benchmark: per paper scheme × gzip/mcf at 500k instructions,
-## run_sim ns/inst and the memory side's ns/access from a fault-free
-## tape replay (which must reproduce run_sim's dL1 stats), with a
-## history row per run in BENCH_layers.json. Records, gates nothing.
+## run_sim ns/inst, the core's ns/inst against the run's recorded
+## latencies (which must reproduce run_sim's core stats) and the memory
+## side's ns/access from a fault-free tape replay (which must reproduce
+## run_sim's dL1 stats), with a history row per run in
+## BENCH_layers.json. Records, gates nothing.
 bench-layers:
 	$(CARGO) bench -p icr-bench --bench layers
 

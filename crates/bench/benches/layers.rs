@@ -1,33 +1,42 @@
-//! Layer benchmark: what a full run costs per instruction, and what its
-//! memory side alone costs per dL1 access, for every paper scheme on a
-//! light (gzip) and a miss-heavy (mcf) workload. Recorded to
-//! `BENCH_layers.json` at the repository root.
+//! Layer benchmark: what a full run costs per instruction, what its
+//! core alone costs per instruction, and what its memory side alone
+//! costs per dL1 access, for every paper scheme on a light (gzip) and a
+//! miss-heavy (mcf) workload. Recorded to `BENCH_layers.json` at the
+//! repository root.
 //!
 //! ```text
 //! make bench-layers        # or: cargo bench -p icr-bench --bench layers
 //! ```
 //!
-//! Two legs per cell, both at [`INSTRUCTIONS`] instructions:
+//! Three legs per cell, all at [`INSTRUCTIONS`] instructions:
 //!
 //! * **sim** — [`run_sim`] end to end (trace source, core, memory
 //!   side), in ns per instruction;
+//! * **core** — [`Pipeline::run`] on the same trace against ports that
+//!   answer each fetch, load and store with the latency the run's own
+//!   iL1 and dL1 returned for it, in call order: the out-of-order core
+//!   with the memory side's work taken out. In ns per instruction;
 //! * **mem** — a fault-free [`Tape::replay`] of the same run, passing
 //!   the tape's own configuration so every taped event is replayed: the
 //!   dL1, its codes, the exposure ledger, L2 and memory, with no core.
 //!   In ns per dL1 access. Campaign trials run exactly this layer.
 //!
-//! Each cell checks itself: the replay's `IcrStats` must equal
-//! `run_sim`'s, so a timing is only recorded for a replay that did all
-//! of the run's memory-side work. The dL1 is configured as a campaign
-//! cell configures it (the paper default plus the oracle shadow).
+//! Each cell checks itself: the core leg's `PipelineStats` and the
+//! replay's `IcrStats` must equal `run_sim`'s, so a timing is only
+//! recorded for a leg that did all of the run's work in its layer. The
+//! dL1 is configured as a campaign cell configures it (the paper
+//! default plus the oracle shadow).
 //!
 //! Not a criterion target: each leg is the best of [`REPS`] runs,
 //! mirroring `BENCH_campaign.json`, and the `history` array carries
 //! one summary entry per recorded run forward.
 
-use icr_core::{DataL1Config, Scheme};
+use icr_core::{DataL1, DataL1Config, Scheme};
+use icr_cpu::{DataMemory, InstrMemory, Pipeline, PipelineStats};
+use icr_mem::{Addr, InstrCache, MemoryBackend};
 use icr_sim::json::{self, obj, Value};
 use icr_sim::{run_sim, SimConfig, Tape};
+use icr_trace::Inst;
 use std::time::Instant;
 
 const INSTRUCTIONS: u64 = 500_000;
@@ -35,7 +44,7 @@ const APPS: [&str; 2] = ["gzip", "mcf"];
 const REPS: usize = 3;
 const SEED: u64 = 42;
 const HISTORY_KEEP: usize = 20;
-/// The cell the ROADMAP's memory-side target is stated for: the
+/// The cell the ROADMAP's headline targets are stated for: the
 /// costliest replication case, replicating on every load miss.
 const HEADLINE: (Scheme, &str) = (Scheme::ICR_ECC_PP_LS, "mcf");
 
@@ -50,15 +59,109 @@ fn best_ns(mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// The machine [`run_sim`] builds for a fault-free run, logging the
+/// latency of every fetch and of every dL1 access in call order.
+struct Recording {
+    dl1: DataL1,
+    backend: MemoryBackend,
+    icache: InstrCache,
+    fetches: Vec<u64>,
+    accesses: Vec<u64>,
+}
+
+impl DataMemory for Recording {
+    fn load(&mut self, addr: u64, now: u64) -> u64 {
+        let lat = self.dl1.load(Addr(addr), now, &mut self.backend);
+        self.accesses.push(lat);
+        lat
+    }
+    fn store(&mut self, addr: u64, now: u64) -> u64 {
+        let lat = self.dl1.store(Addr(addr), now, &mut self.backend);
+        self.accesses.push(lat);
+        lat
+    }
+}
+
+impl InstrMemory for Recording {
+    fn fetch(&mut self, pc: u64, _now: u64) -> u64 {
+        let lat = self.icache.fetch(Addr(pc), &mut self.backend);
+        self.fetches.push(lat);
+        lat
+    }
+}
+
+/// Runs `cfg`'s core on `trace` against its real memory side and
+/// returns the fetch and dL1 latency streams, in call order.
+fn record_latencies(cfg: &SimConfig, trace: &[Inst]) -> (PipelineStats, Vec<u64>, Vec<u64>) {
+    let mut machine = Recording {
+        dl1: DataL1::new(cfg.dl1.clone()),
+        backend: MemoryBackend::new(&cfg.hierarchy),
+        icache: InstrCache::new(&cfg.hierarchy),
+        fetches: Vec::with_capacity(trace.len()),
+        accesses: Vec::with_capacity(trace.len()),
+    };
+    let stats = Pipeline::new(cfg.cpu).run_on(trace.iter().copied(), &mut machine);
+    (stats, machine.fetches, machine.accesses)
+}
+
+/// A port answering each call with the next latency of a recorded
+/// stream.
+struct Replay<'a> {
+    latencies: &'a [u64],
+    next: usize,
+}
+
+impl Replay<'_> {
+    fn new(latencies: &[u64]) -> Replay<'_> {
+        Replay { latencies, next: 0 }
+    }
+
+    fn next(&mut self) -> u64 {
+        let lat = self.latencies[self.next];
+        self.next += 1;
+        lat
+    }
+}
+
+impl DataMemory for Replay<'_> {
+    fn load(&mut self, _addr: u64, _now: u64) -> u64 {
+        self.next()
+    }
+    fn store(&mut self, _addr: u64, _now: u64) -> u64 {
+        self.next()
+    }
+}
+
+impl InstrMemory for Replay<'_> {
+    fn fetch(&mut self, _pc: u64, _now: u64) -> u64 {
+        self.next()
+    }
+}
+
+/// The core leg: `cfg`'s core on `trace`, its ports replaying the
+/// recorded latencies.
+fn replay_core(
+    cfg: &SimConfig,
+    trace: &[Inst],
+    fetches: &[u64],
+    accesses: &[u64],
+) -> PipelineStats {
+    Pipeline::new(cfg.cpu).run(
+        trace.iter().copied(),
+        &mut Replay::new(fetches),
+        &mut Replay::new(accesses),
+    )
+}
+
 fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_layers.json");
 
     let mut rows = Vec::new();
-    let mut headline_mem = f64::NAN;
-    let (mut sim_sum, mut mem_sum) = (0.0, 0.0);
+    let (mut headline_core, mut headline_mem) = (f64::NAN, f64::NAN);
+    let (mut sim_sum, mut core_sum, mut mem_sum) = (0.0, 0.0, 0.0);
     println!(
-        "{:<22} {:<5} {:>14} {:>16}",
-        "scheme", "app", "sim ns/inst", "mem ns/access"
+        "{:<22} {:<5} {:>14} {:>14} {:>16}",
+        "scheme", "app", "sim ns/inst", "core ns/inst", "mem ns/access"
     );
     for scheme in Scheme::all_paper_schemes() {
         for app in APPS {
@@ -80,27 +183,47 @@ fn main() {
                 scheme.name()
             );
             let accesses = reference.icr.cache.accesses();
+            let trace = icr_trace::store::global().get(app, SEED, INSTRUCTIONS);
+            let (recorded, fetch_lat, access_lat) = record_latencies(&cfg, &trace);
+            assert_eq!(
+                recorded,
+                reference.pipeline,
+                "{} × {app}: the recording machine must be run_sim's",
+                scheme.name()
+            );
+            assert_eq!(
+                replay_core(&cfg, &trace, &fetch_lat, &access_lat),
+                reference.pipeline,
+                "{} × {app}: the core leg must redo the run's core",
+                scheme.name()
+            );
 
             let sim_ns = best_ns(|| {
                 run_sim(&cfg);
+            }) / INSTRUCTIONS as f64;
+            let core_ns = best_ns(|| {
+                replay_core(&cfg, &trace, &fetch_lat, &access_lat);
             }) / INSTRUCTIONS as f64;
             let mem_ns = best_ns(|| {
                 tape.replay(tape.config(), None);
             }) / accesses as f64;
             println!(
-                "{:<22} {app:<5} {sim_ns:>14.1} {mem_ns:>16.1}",
+                "{:<22} {app:<5} {sim_ns:>14.1} {core_ns:>14.1} {mem_ns:>16.1}",
                 scheme.name()
             );
             if (scheme, app) == HEADLINE {
+                headline_core = core_ns;
                 headline_mem = mem_ns;
             }
             sim_sum += sim_ns;
+            core_sum += core_ns;
             mem_sum += mem_ns;
             rows.push(obj([
                 ("scheme", scheme.name().into()),
                 ("app", app.into()),
                 ("accesses", accesses.into()),
                 ("sim_ns_per_inst", sim_ns.into()),
+                ("core_ns_per_inst", core_ns.into()),
                 ("mem_ns_per_access", mem_ns.into()),
             ]));
         }
@@ -108,12 +231,16 @@ fn main() {
     let cells = rows.len() as f64;
     let metrics = obj([
         ("sim_ns_per_inst_mean", (sim_sum / cells).into()),
+        ("core_ns_per_inst_mean", (core_sum / cells).into()),
         ("mem_ns_per_access_mean", (mem_sum / cells).into()),
+        ("headline_core_ns_per_inst", headline_core.into()),
         ("headline_mem_ns_per_access", headline_mem.into()),
     ]);
     println!(
-        "  mean: sim {:.1} ns/inst, mem {:.1} ns/access; {} × {}: mem {headline_mem:.1} ns/access",
+        "  mean: sim {:.1} ns/inst, core {:.1} ns/inst, mem {:.1} ns/access; \
+         {} × {}: core {headline_core:.1} ns/inst, mem {headline_mem:.1} ns/access",
         sim_sum / cells,
+        core_sum / cells,
         mem_sum / cells,
         HEADLINE.0.name(),
         HEADLINE.1

@@ -179,13 +179,17 @@ impl DirPredictor for Combined {
 }
 
 /// Branch target buffer: set-associative PC → target map with LRU.
+///
+/// The sets lie in one flat array, `ways` entries each, and each set's
+/// first `fill` entries are its valid ones, most recently used first.
 #[derive(Debug, Clone)]
 pub struct Btb {
-    sets: Vec<Vec<BtbEntry>>, // each inner vec is MRU-first
+    entries: Vec<BtbEntry>,
+    fill: Vec<usize>,
     ways: usize,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct BtbEntry {
     pc: u64,
     target: u64,
@@ -209,34 +213,48 @@ impl Btb {
             "BTB set count must be a power of two"
         );
         Btb {
-            sets: vec![Vec::with_capacity(ways); sets],
+            entries: vec![BtbEntry::default(); entries],
+            fill: vec![0; sets],
             ways,
         }
     }
 
     fn set_index(&self, pc: u64) -> usize {
-        ((pc >> 2) as usize) & (self.sets.len() - 1)
+        ((pc >> 2) as usize) & (self.fill.len() - 1)
+    }
+
+    /// The valid entries of the set `pc` maps to, MRU first.
+    fn set(&self, pc: u64) -> &[BtbEntry] {
+        let si = self.set_index(pc);
+        let start = si * self.ways;
+        &self.entries[start..start + self.fill[si]]
     }
 
     /// The predicted target for the branch at `pc`, if the BTB knows one.
     pub fn lookup(&self, pc: u64) -> Option<u64> {
-        self.sets[self.set_index(pc)]
-            .iter()
-            .find(|e| e.pc == pc)
-            .map(|e| e.target)
+        self.set(pc).iter().find(|e| e.pc == pc).map(|e| e.target)
     }
 
     /// Installs/refreshes the target of a taken branch.
     pub fn update(&mut self, pc: u64, target: u64) {
+        // Rotating the set's prefix up to the refreshed entry (or up to
+        // the LRU entry of a full set, or the first free way) by one puts
+        // that entry first and shifts the more recent ones down a place.
+        let pos = self.set(pc).iter().position(|e| e.pc == pc);
         let si = self.set_index(pc);
-        let ways = self.ways;
-        let set = &mut self.sets[si];
-        if let Some(pos) = set.iter().position(|e| e.pc == pc) {
-            set.remove(pos);
-        } else if set.len() == ways {
-            set.pop(); // evict LRU
-        }
-        set.insert(0, BtbEntry { pc, target });
+        let end = match pos {
+            Some(pos) => pos + 1,
+            None => {
+                if self.fill[si] < self.ways {
+                    self.fill[si] += 1;
+                }
+                self.fill[si]
+            }
+        };
+        let start = si * self.ways;
+        let set = &mut self.entries[start..start + end];
+        set.rotate_right(1);
+        set[0] = BtbEntry { pc, target };
     }
 }
 

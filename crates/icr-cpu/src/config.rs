@@ -1,5 +1,9 @@
 //! Machine configuration — Table 1 of the paper.
 
+/// The largest RUU the core models: the scheduler keeps one bit per RUU
+/// slot in `u64` masks.
+pub const MAX_RUU_SIZE: usize = 64;
+
 /// Superscalar-core parameters (defaults reproduce Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuConfig {
@@ -9,7 +13,8 @@ pub struct CpuConfig {
     pub issue_width: usize,
     /// Instructions committed per cycle.
     pub commit_width: usize,
-    /// Register update unit (reorder buffer) entries (paper: 16).
+    /// Register update unit (reorder buffer) entries (paper: 16; at most
+    /// [`MAX_RUU_SIZE`]).
     pub ruu_size: usize,
     /// Load/store queue entries (paper: 8).
     pub lsq_size: usize,
@@ -71,6 +76,9 @@ impl CpuConfig {
         if self.ruu_size == 0 || self.lsq_size == 0 {
             return Err("RUU and LSQ must be non-empty".into());
         }
+        if self.ruu_size > MAX_RUU_SIZE {
+            return Err(format!("the RUU holds at most {MAX_RUU_SIZE} entries"));
+        }
         if self.fetch_width == 0 || self.issue_width == 0 || self.commit_width == 0 {
             return Err("pipeline widths must be positive".into());
         }
@@ -121,6 +129,21 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn ruu_larger_than_the_ring_rejected() {
+        let at_cap = CpuConfig {
+            ruu_size: MAX_RUU_SIZE,
+            lsq_size: MAX_RUU_SIZE / 2,
+            ..Default::default()
+        };
+        at_cap.validate().unwrap();
+        let over = CpuConfig {
+            ruu_size: MAX_RUU_SIZE + 1,
+            ..at_cap
+        };
+        assert!(over.validate().unwrap_err().contains("at most 64"));
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod mem;
 pub mod pipeline;
 
 pub use bpred::{Bimodal, Btb, Combined, DirPredictor, TwoLevel};
-pub use config::CpuConfig;
+pub use config::{CpuConfig, MAX_RUU_SIZE};
 pub use fu::{op_latency, FuPool};
 pub use mem::{DataMemory, FixedLatencyMemory, InstrMemory, PerfectMemory};
 pub use pipeline::{Pipeline, PipelineStats};

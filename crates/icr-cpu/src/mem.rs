@@ -4,7 +4,9 @@
 //! ICR schemes, the baselines and the test doubles all implement these two
 //! traits. Latency is the only thing the pipeline needs back — the
 //! functional side (data, protection, replication) stays inside the
-//! implementation.
+//! implementation. A memory side that owns both paths implements both
+//! traits on one value and hands it to
+//! [`Pipeline::run_on`](crate::Pipeline::run_on).
 
 /// Data-side memory interface (the dL1 and everything below it).
 pub trait DataMemory {

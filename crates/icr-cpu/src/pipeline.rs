@@ -10,13 +10,16 @@
 //! store-to-load forwarding and non-blocking loads — is modelled per cycle,
 //! which is what lets the superscalar core *hide* part of the dL1 latency,
 //! the effect the paper's Figure 9 turns on.
+//!
+//! The RUU is a ring of [`MAX_RUU_SIZE`] slots indexed by `seq & 63`,
+//! scheduled through `u64` masks with one bit per slot: the scans visit
+//! only the bits that can matter (DESIGN.md §15).
 
 use crate::bpred::{Btb, Combined, DirPredictor};
-use crate::config::CpuConfig;
+use crate::config::{CpuConfig, MAX_RUU_SIZE};
 use crate::fu::{op_latency, FuPool};
 use crate::mem::{DataMemory, InstrMemory};
-use icr_trace::{Inst, OpClass};
-use std::collections::VecDeque;
+use icr_trace::{Inst, OpClass, Reg};
 
 /// Aggregate results of a pipeline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -66,22 +69,179 @@ impl PipelineStats {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EntryState {
-    Waiting,
-    Issued { done_at: u64 },
-    Done,
+/// A dependence or register mapping with no in-flight producer.
+const NO_SEQ: u64 = u64::MAX;
+
+/// What the scheduler keeps of the instruction in one RUU slot.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    op: OpClass,
+    mispredicted: bool,
+    dest: Option<Reg>,
+    /// Effective address of a load or store.
+    addr: u64,
+    /// Completion cycle, once issued.
+    done_at: u64,
+    load_latency: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    inst: Inst,
-    seq: u64,
-    state: EntryState,
-    /// Producer sequence numbers this entry waits on (snapshot at dispatch).
-    deps: [Option<u64>; 2],
-    mispredicted: bool,
-    load_latency: u64,
+const EMPTY_SLOT: Slot = Slot {
+    op: OpClass::IntAlu,
+    mispredicted: false,
+    dest: None,
+    addr: 0,
+    done_at: 0,
+    load_latency: 0,
+};
+
+/// The RUU: sequence numbers `head..tail` in slots `seq & 63`, and the
+/// state of each occupied slot as one bit in exactly one of `waiting`,
+/// `issued` and `done`. `stores` marks the occupied slots holding a
+/// store, and `blocked` the waiting ones with a producer that has not
+/// written back.
+struct Ring {
+    slots: [Slot; MAX_RUU_SIZE],
+    /// Per slot: the producer slots it still waits on.
+    pending: [u64; MAX_RUU_SIZE],
+    /// Per slot: the consumer slots waiting on it.
+    wakes: [u64; MAX_RUU_SIZE],
+    waiting: u64,
+    issued: u64,
+    done: u64,
+    stores: u64,
+    blocked: u64,
+    head: u64,
+    tail: u64,
+}
+
+/// How a ready load relates to the older stores to its word.
+enum StoreMatch {
+    /// No older store writes the word: the load reads memory.
+    None,
+    /// Every older store to the word has executed: the load forwards.
+    Forward,
+    /// Some older store to the word has not executed: the load waits.
+    Blocked,
+}
+
+/// The slot of sequence number `seq`.
+fn slot_of(seq: u64) -> usize {
+    (seq & (MAX_RUU_SIZE as u64 - 1)) as usize
+}
+
+impl Ring {
+    fn new() -> Ring {
+        Ring {
+            slots: [EMPTY_SLOT; MAX_RUU_SIZE],
+            pending: [0; MAX_RUU_SIZE],
+            wakes: [0; MAX_RUU_SIZE],
+            waiting: 0,
+            issued: 0,
+            done: 0,
+            stores: 0,
+            blocked: 0,
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        (self.tail - self.head) as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head == self.tail
+    }
+
+    /// `mask` rotated so bit `k` is the slot of sequence `head + k`: the
+    /// set bits from the lowest up are then oldest first.
+    fn by_age(&self, mask: u64) -> u64 {
+        mask.rotate_right(slot_of(self.head) as u32)
+    }
+
+    /// Whether the value of producer `seq` is available: no producer, or
+    /// it has committed, or it has written back. Slots are reused, so a
+    /// committed producer is recognised by its sequence number.
+    fn ready(&self, seq: u64) -> bool {
+        seq == NO_SEQ || seq < self.head || self.done & (1 << slot_of(seq)) != 0
+    }
+
+    fn head_done(&self) -> bool {
+        self.done & (1 << slot_of(self.head)) != 0
+    }
+
+    /// Classifies the stores older than the entry `age` slots past the
+    /// head that write word `word`.
+    fn older_stores_to(&self, age: u32, word: u64) -> StoreMatch {
+        let mut older = self.by_age(self.stores) & ((1 << age) - 1);
+        let mut found = StoreMatch::None;
+        while older != 0 {
+            let slot = slot_of(self.head + u64::from(older.trailing_zeros()));
+            older &= older - 1;
+            if self.slots[slot].addr >> 3 == word {
+                if self.done & (1 << slot) == 0 {
+                    return StoreMatch::Blocked;
+                }
+                found = StoreMatch::Forward;
+            }
+        }
+        found
+    }
+
+    /// Dispatches `slot` as sequence `tail`, waiting to issue until the
+    /// producers `deps` ([`NO_SEQ`] for none) have written back.
+    fn push(&mut self, slot: Slot, deps: [u64; 2]) {
+        let i = slot_of(self.tail);
+        self.slots[i] = slot;
+        self.wakes[i] = 0;
+        let mut pending = 0;
+        for seq in deps {
+            if !self.ready(seq) {
+                let producer = slot_of(seq);
+                pending |= 1 << producer;
+                self.wakes[producer] |= 1 << i;
+            }
+        }
+        self.pending[i] = pending;
+        if pending != 0 {
+            self.blocked |= 1 << i;
+        }
+        self.waiting |= 1 << i;
+        if slot.op == OpClass::Store {
+            self.stores |= 1 << i;
+        }
+        self.tail += 1;
+    }
+
+    /// Moves the issued slots `finished` to done and unblocks the
+    /// consumers that were waiting only on them.
+    fn write_back(&mut self, finished: u64) {
+        self.issued &= !finished;
+        self.done |= finished;
+        let mut producers = finished;
+        while producers != 0 {
+            let producer = producers.trailing_zeros() as usize;
+            producers &= producers - 1;
+            let mut consumers = self.wakes[producer];
+            while consumers != 0 {
+                let c = consumers.trailing_zeros() as usize;
+                consumers &= consumers - 1;
+                self.pending[c] &= !(1 << producer);
+                if self.pending[c] == 0 {
+                    self.blocked &= !(1 << c);
+                }
+            }
+        }
+    }
+
+    /// Retires the head entry, which must be done.
+    fn pop(&mut self) -> Slot {
+        let i = slot_of(self.head);
+        self.done &= !(1 << i);
+        self.stores &= !(1 << i);
+        self.head += 1;
+        self.slots[i]
+    }
 }
 
 /// The out-of-order core.
@@ -101,6 +261,30 @@ pub struct Pipeline {
     config: CpuConfig,
     bpred: Combined,
     btb: Btb,
+}
+
+/// Two separate ports as the one machine [`Pipeline::run_on`] drives.
+struct Ports<'a> {
+    imem: &'a mut dyn InstrMemory,
+    dmem: &'a mut dyn DataMemory,
+}
+
+impl InstrMemory for Ports<'_> {
+    fn fetch(&mut self, pc: u64, now: u64) -> u64 {
+        self.imem.fetch(pc, now)
+    }
+}
+
+impl DataMemory for Ports<'_> {
+    fn load(&mut self, addr: u64, now: u64) -> u64 {
+        self.dmem.load(addr, now)
+    }
+    fn store(&mut self, addr: u64, now: u64) -> u64 {
+        self.dmem.store(addr, now)
+    }
+    fn halted(&self) -> bool {
+        self.dmem.halted()
+    }
 }
 
 impl Pipeline {
@@ -125,12 +309,13 @@ impl Pipeline {
         &self.config
     }
 
-    /// Runs the core over `trace` until it is exhausted, against the given
+    /// Runs the core over `trace` until it is exhausted, against separate
     /// instruction and data memories. Returns the run's statistics.
     ///
-    /// Use `trace.take(n)` to bound the instruction count. When `dmem`
-    /// reports [`DataMemory::halted`] after an access, the run stops there
-    /// and the statistics cover only the cycles simulated so far.
+    /// This is [`run_on`](Self::run_on) with the two ports paired into
+    /// one machine; a caller that owns a single value implementing both
+    /// traits should call `run_on` directly, so each access is a static
+    /// call.
     pub fn run<I>(
         &mut self,
         trace: I,
@@ -140,14 +325,27 @@ impl Pipeline {
     where
         I: IntoIterator<Item = Inst>,
     {
+        self.run_on(trace, &mut Ports { imem, dmem })
+    }
+
+    /// Runs the core over `trace` until it is exhausted, against `mem`,
+    /// which serves both instruction fetches and data accesses. Returns
+    /// the run's statistics.
+    ///
+    /// Use `trace.take(n)` to bound the instruction count. When `mem`
+    /// reports [`DataMemory::halted`] after an access, the run stops there
+    /// and the statistics cover only the cycles simulated so far.
+    pub fn run_on<I, M>(&mut self, trace: I, mem: &mut M) -> PipelineStats
+    where
+        I: IntoIterator<Item = Inst>,
+        M: InstrMemory + DataMemory + ?Sized,
+    {
         let mut trace = trace.into_iter().peekable();
         let cfg = self.config;
         let mut stats = PipelineStats::default();
-        let mut ruu: VecDeque<Entry> = VecDeque::with_capacity(cfg.ruu_size);
-        let mut head_seq: u64 = 0;
-        let mut next_seq: u64 = 0;
+        let mut ruu = Ring::new();
         // Latest producer of each architectural register, by sequence.
-        let mut reg_producer: [Option<u64>; 64] = [None; 64];
+        let mut reg_producer = [NO_SEQ; 64];
         let mut fu = FuPool::from_config(&cfg);
         let mut cycle: u64 = 0;
         // Front-end control.
@@ -157,70 +355,52 @@ impl Pipeline {
         // Memory ops resident in the RUU (the LSQ occupancy), maintained
         // incrementally instead of rescanning the RUU per fetch.
         let mut mem_in_flight: usize = 0;
-        // Incremental occupancy bookkeeping, so the writeback and issue
-        // scans run only on cycles where they can transition something:
-        // how many entries are Issued and the earliest cycle any of them
-        // completes (u64::MAX when none), and how many are Waiting.
-        let mut issued_cnt: usize = 0;
+        // The earliest cycle any Issued entry completes (u64::MAX when
+        // none), so the writeback scan runs only on cycles where it can
+        // transition something.
         let mut next_done: u64 = u64::MAX;
-        let mut waiting_cnt: usize = 0;
-
-        let entry_done = |ruu: &VecDeque<Entry>, head: u64, seq: u64| -> bool {
-            if seq < head {
-                return true; // already committed
-            }
-            match ruu.get((seq - head) as usize) {
-                Some(e) => e.state == EntryState::Done,
-                None => true,
-            }
-        };
 
         'run: loop {
             // ---- Writeback: finish execution, resolve branches. ----
-            // The scan can only transition entries when some Issued op has
-            // reached its completion cycle; `next_done` tracks the
-            // earliest one, so most cycles skip the scan outright.
-            let mut wrote_back = 0usize;
-            if issued_cnt > 0 && next_done <= cycle {
-                let mut resolved_halt: Option<u64> = None;
+            let mut finished = 0u64;
+            if ruu.issued != 0 && next_done <= cycle {
                 let mut remaining_next = u64::MAX;
-                for e in ruu.iter_mut() {
-                    if let EntryState::Issued { done_at } = e.state {
-                        if done_at <= cycle {
-                            e.state = EntryState::Done;
-                            wrote_back += 1;
-                            issued_cnt -= 1;
-                            if e.mispredicted && fetch_halted_by == Some(e.seq) {
-                                resolved_halt = Some(done_at + cfg.mispredict_penalty);
-                            }
-                        } else {
-                            remaining_next = remaining_next.min(done_at);
-                        }
+                let mut scan = ruu.issued;
+                while scan != 0 {
+                    let slot = scan.trailing_zeros() as usize;
+                    scan &= scan - 1;
+                    let done_at = ruu.slots[slot].done_at;
+                    if done_at <= cycle {
+                        finished |= 1 << slot;
+                    } else {
+                        remaining_next = remaining_next.min(done_at);
                     }
                 }
+                ruu.write_back(finished);
                 next_done = remaining_next;
-                if let Some(resume) = resolved_halt {
-                    fetch_halted_by = None;
-                    fetch_resume = fetch_resume.max(resume);
+                // The mispredicted branch fetch waits on, once it resolves.
+                if let Some(seq) = fetch_halted_by {
+                    let slot = slot_of(seq);
+                    if finished & (1 << slot) != 0 {
+                        fetch_halted_by = None;
+                        fetch_resume =
+                            fetch_resume.max(ruu.slots[slot].done_at + cfg.mispredict_penalty);
+                    }
                 }
             }
 
             // ---- Commit: retire completed head entries in order. ----
             let mut committed_now = 0;
             if cycle >= commit_blocked_until {
-                while committed_now < cfg.commit_width {
-                    let Some(head) = ruu.front() else { break };
-                    if head.state != EntryState::Done {
-                        break;
-                    }
-                    let e = ruu.pop_front().expect("front exists");
-                    head_seq = e.seq + 1;
+                while committed_now < cfg.commit_width && ruu.head_done() {
+                    let seq = ruu.head;
+                    let e = ruu.pop();
                     stats.committed += 1;
-                    if e.inst.op.is_mem() {
+                    if e.op.is_mem() {
                         mem_in_flight -= 1;
                     }
                     committed_now += 1;
-                    match e.inst.op {
+                    match e.op {
                         OpClass::Load => {
                             stats.loads += 1;
                             stats.load_latency_sum += e.load_latency;
@@ -229,8 +409,8 @@ impl Pipeline {
                             stats.stores += 1;
                             // The dL1 write (and any ICR replication)
                             // happens at retire.
-                            let lat = dmem.store(e.inst.mem_addr.expect("store has addr"), cycle);
-                            if dmem.halted() {
+                            let lat = mem.store(e.addr, cycle);
+                            if mem.halted() {
                                 break 'run;
                             }
                             if lat > 1 {
@@ -247,94 +427,67 @@ impl Pipeline {
                     }
                     // Retire the register mapping if this was the last
                     // producer.
-                    if let Some(d) = e.inst.dest {
-                        if reg_producer[d.0 as usize] == Some(e.seq) {
-                            reg_producer[d.0 as usize] = None;
+                    if let Some(d) = e.dest {
+                        if reg_producer[d.0 as usize] == seq {
+                            reg_producer[d.0 as usize] = NO_SEQ;
                         }
                     }
-                    if e.inst.op == OpClass::Store && commit_blocked_until > cycle {
+                    if e.op == OpClass::Store && commit_blocked_until > cycle {
                         break; // a stalled store blocks younger commits
                     }
                 }
             }
 
             // ---- Issue: start ready waiting entries, oldest first. ----
-            // Skipped when nothing is Waiting; the FU pool's per-cycle
-            // counters only matter to `try_claim`, so resetting them is
-            // deferred to cycles that can actually issue.
+            // Skipped when no waiting entry has all its operands; the FU
+            // pool's per-cycle counters only matter to `try_claim`, so
+            // resetting them is deferred to cycles that can actually
+            // issue.
             let mut issued = 0;
-            let waiting_at_start = waiting_cnt;
-            if waiting_at_start > 0 {
+            let ready = ruu.waiting & !ruu.blocked;
+            if ready != 0 {
                 fu.new_cycle();
-                let mut waiting_seen = 0;
-                for i in 0..ruu.len() {
-                    if issued == cfg.issue_width || waiting_seen == waiting_at_start {
-                        break;
-                    }
-                    if ruu[i].state != EntryState::Waiting {
-                        continue;
-                    }
-                    waiting_seen += 1;
-                    let deps_ready = ruu[i]
-                        .deps
-                        .iter()
-                        .flatten()
-                        .all(|&d| entry_done(&ruu, head_seq, d));
-                    if !deps_ready {
-                        continue;
-                    }
+                let mut candidates = ruu.by_age(ready);
+                while candidates != 0 && issued < cfg.issue_width {
+                    let age = candidates.trailing_zeros();
+                    candidates &= candidates - 1;
+                    let slot = slot_of(ruu.head + u64::from(age));
+                    let e = ruu.slots[slot];
                     // Loads must respect older same-word stores (no
                     // speculation past unresolved conflicting stores; forward
                     // from completed ones).
                     let mut load_forwarded = false;
-                    if ruu[i].inst.op == OpClass::Load {
-                        let my_word = ruu[i].inst.mem_addr.expect("load has addr") >> 3;
-                        let my_seq = ruu[i].seq;
-                        let mut blocked = false;
-                        for e in ruu.iter() {
-                            if e.seq >= my_seq {
-                                break;
-                            }
-                            if e.inst.op == OpClass::Store
-                                && e.inst.mem_addr.map(|a| a >> 3) == Some(my_word)
-                            {
-                                if e.state == EntryState::Done {
-                                    load_forwarded = true; // will forward
-                                } else {
-                                    blocked = true; // store not executed yet
-                                    break;
-                                }
-                            }
-                        }
-                        if blocked {
-                            continue;
+                    if e.op == OpClass::Load {
+                        match ruu.older_stores_to(age, e.addr >> 3) {
+                            StoreMatch::Blocked => continue,
+                            StoreMatch::Forward => load_forwarded = true,
+                            StoreMatch::None => {}
                         }
                     }
-                    if !fu.try_claim(ruu[i].inst.op) {
+                    if !fu.try_claim(e.op) {
                         continue;
                     }
-                    let lat = match ruu[i].inst.op {
+                    let lat = match e.op {
                         OpClass::Load => {
                             let lat = if load_forwarded {
                                 1
                             } else {
-                                let lat =
-                                    dmem.load(ruu[i].inst.mem_addr.expect("load has addr"), cycle);
-                                if dmem.halted() {
+                                let lat = mem.load(e.addr, cycle);
+                                if mem.halted() {
                                     break 'run;
                                 }
                                 lat
                             };
-                            ruu[i].load_latency = lat;
+                            ruu.slots[slot].load_latency = lat;
                             lat
                         }
                         op => op_latency(op),
                     };
                     let done_at = cycle + lat;
-                    ruu[i].state = EntryState::Issued { done_at };
+                    ruu.slots[slot].done_at = done_at;
+                    ruu.waiting &= !(1 << slot);
+                    ruu.issued |= 1 << slot;
                     issued += 1;
-                    waiting_cnt -= 1;
-                    issued_cnt += 1;
                     next_done = next_done.min(done_at);
                 }
             }
@@ -354,7 +507,7 @@ impl Pipeline {
                     if inst.op.is_mem() {
                         mem_in_flight += 1;
                     }
-                    let flat = imem.fetch(inst.pc, cycle);
+                    let flat = mem.fetch(inst.pc, cycle);
                     let mut ends_group = false;
                     if flat > 1 {
                         // icache miss: this group ends and fetch resumes
@@ -362,12 +515,10 @@ impl Pipeline {
                         fetch_resume = cycle + flat - 1;
                         ends_group = true;
                     }
-                    let seq = next_seq;
-                    next_seq += 1;
-                    let deps = [
-                        inst.srcs[0].and_then(|r| reg_producer[r.0 as usize]),
-                        inst.srcs[1].and_then(|r| reg_producer[r.0 as usize]),
-                    ];
+                    let seq = ruu.tail;
+                    let deps = inst
+                        .srcs
+                        .map(|r| r.map_or(NO_SEQ, |r| reg_producer[r.0 as usize]));
                     let mut mispredicted = false;
                     if inst.op == OpClass::Branch {
                         let pred_taken = self.bpred.predict(inst.pc);
@@ -385,17 +536,19 @@ impl Pipeline {
                         }
                     }
                     if let Some(d) = inst.dest {
-                        reg_producer[d.0 as usize] = Some(seq);
+                        reg_producer[d.0 as usize] = seq;
                     }
-                    ruu.push_back(Entry {
-                        inst,
-                        seq,
-                        state: EntryState::Waiting,
+                    ruu.push(
+                        Slot {
+                            op: inst.op,
+                            mispredicted,
+                            dest: inst.dest,
+                            addr: inst.mem_addr.unwrap_or(0),
+                            done_at: 0,
+                            load_latency: 0,
+                        },
                         deps,
-                        mispredicted,
-                        load_latency: 0,
-                    });
-                    waiting_cnt += 1;
+                    );
                     fetched += 1;
                     if ends_group {
                         break;
@@ -415,13 +568,11 @@ impl Pipeline {
             // as a consequence of one of those. This is a pure wall-clock
             // optimisation — `cycle` takes exactly the values at which the
             // naive loop would have done work, so results are bit-exact.
-            if wrote_back == 0 && committed_now == 0 && issued == 0 && fetched == 0 {
+            if finished == 0 && committed_now == 0 && issued == 0 && fetched == 0 {
                 // `next_done` is exactly min done_at over Issued entries
                 // (u64::MAX when none) — no rescan needed.
                 let mut event = next_done;
-                if commit_blocked_until > cycle
-                    && ruu.front().is_some_and(|h| h.state == EntryState::Done)
-                {
+                if commit_blocked_until > cycle && ruu.head_done() {
                     event = event.min(commit_blocked_until);
                 }
                 if fetch_halted_by.is_none() && fetch_resume > cycle && trace.peek().is_some() {

@@ -119,4 +119,62 @@ proptest! {
             }
         }
     }
+
+    /// The flat BTB behaves as a per-set most-recently-used list: the
+    /// same lookups hit with the same targets after any update sequence.
+    #[test]
+    fn btb_matches_mru_list_reference(
+        ops in prop::collection::vec((0u64..64, any::<u64>(), any::<bool>()), 1..200),
+        ways in prop::sample::select(vec![1usize, 2, 4, 8]),
+    ) {
+        let mut btb = Btb::new(16, ways);
+        let mut reference = ReferenceBtb::new(16, ways);
+        for (pc_index, target, install) in ops {
+            let pc = pc_index * 4;
+            if install {
+                btb.update(pc, target);
+                reference.update(pc, target);
+            }
+            prop_assert_eq!(btb.lookup(pc), reference.lookup(pc));
+        }
+        for pc_index in 0..64u64 {
+            prop_assert_eq!(btb.lookup(pc_index * 4), reference.lookup(pc_index * 4));
+        }
+    }
+}
+
+/// A BTB as one most-recently-used list per set.
+struct ReferenceBtb {
+    sets: Vec<Vec<(u64, u64)>>,
+    ways: usize,
+}
+
+impl ReferenceBtb {
+    fn new(entries: usize, ways: usize) -> Self {
+        ReferenceBtb {
+            sets: vec![Vec::new(); entries / ways],
+            ways,
+        }
+    }
+
+    fn set(&self, pc: u64) -> usize {
+        ((pc >> 2) as usize) % self.sets.len()
+    }
+
+    fn lookup(&self, pc: u64) -> Option<u64> {
+        let set = &self.sets[self.set(pc)];
+        set.iter().find(|e| e.0 == pc).map(|e| e.1)
+    }
+
+    fn update(&mut self, pc: u64, target: u64) {
+        let ways = self.ways;
+        let si = self.set(pc);
+        let set = &mut self.sets[si];
+        if let Some(pos) = set.iter().position(|e| e.0 == pc) {
+            set.remove(pos);
+        } else if set.len() == ways {
+            set.pop();
+        }
+        set.insert(0, (pc, target));
+    }
 }

@@ -444,6 +444,9 @@ pub struct InstrCache {
     /// cache's only accesses — already MRU in its set, so the tag scan
     /// and LRU touch can both be skipped without changing any state.
     last_block: Option<BlockAddr>,
+    /// One L2 block of words: where a miss reads its L2 block before
+    /// copying this cache's half into the claimed line.
+    miss_buffer: Vec<u64>,
 }
 
 impl InstrCache {
@@ -452,6 +455,7 @@ impl InstrCache {
         InstrCache {
             cache: Cache::new(config.l1i_geometry, config.l1i_latency),
             last_block: None,
+            miss_buffer: vec![0; config.l2_geometry.words_per_block()],
         }
     }
 
@@ -485,12 +489,16 @@ impl InstrCache {
             return (self.cache.hit_latency(), None);
         }
         let l2_block = BlockAddr(pc.raw() & !(backend.l2.geometry().block_bytes() as u64 - 1));
-        let (data, l2_latency) = backend.read_block(l2_block);
-        // Extract this cache's block-worth of words from the L2 block.
+        let l2_latency = backend.read_block_into(l2_block, &mut self.miss_buffer);
+        // Copy this cache's block-worth of words from the L2 block into
+        // the claimed line. Instruction lines are never dirty, so the
+        // victim needs no writeback.
         let words = g.words_per_block();
         let offset_words = ((block.raw() as usize) & (backend.l2.geometry().block_bytes() - 1)) / 8;
-        let slice: Vec<u64> = (0..words).map(|i| data.word(offset_words + i)).collect();
-        self.cache.fill(block, DataBlock::from_words(slice), false);
+        let (slot, _) = self.cache.claim(block, false);
+        self.cache
+            .slot_words_mut(slot)
+            .copy_from_slice(&self.miss_buffer[offset_words..][..words]);
         (
             self.cache.hit_latency() + l2_latency,
             Some((l2_block, l2_latency)),

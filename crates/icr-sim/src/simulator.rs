@@ -12,9 +12,7 @@ use icr_mem::{
     Addr, BlockAddr, CacheGeometry, CacheStats, HierarchyConfig, InstrCache, MemoryBackend,
 };
 use icr_trace::{Inst, OpClass};
-use std::cell::RefCell;
 use std::collections::HashSet;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// Fault-injection settings for a run.
@@ -583,53 +581,38 @@ impl Machine {
 
     /// Runs the core over `trace` against this machine. Returns the
     /// core's statistics and the machine as the run left it.
-    fn run(self, config: &SimConfig, trace: &[Inst]) -> (PipelineStats, Machine) {
-        let machine = Rc::new(RefCell::new(self));
-        let stats = Pipeline::new(config.cpu).run(
-            trace.iter().copied(),
-            &mut ImemPort(machine.clone()),
-            &mut DmemPort(machine.clone()),
-        );
-        let Ok(machine) = Rc::try_unwrap(machine) else {
-            unreachable!("the ports are dropped with the run");
-        };
-        (stats, machine.into_inner())
+    fn run(mut self, config: &SimConfig, trace: &[Inst]) -> (PipelineStats, Machine) {
+        let stats = Pipeline::new(config.cpu).run_on(trace.iter().copied(), &mut self);
+        (stats, self)
     }
 }
 
-struct DmemPort(Rc<RefCell<Machine>>);
-struct ImemPort(Rc<RefCell<Machine>>);
-
-impl DataMemory for DmemPort {
+impl DataMemory for Machine {
     fn load(&mut self, addr: u64, now: u64) -> u64 {
-        let mut m = self.0.borrow_mut();
-        let lat = m.mem.load(addr, now);
-        if let Some(rec) = &mut m.recorder {
+        let lat = self.mem.load(addr, now);
+        if let Some(rec) = &mut self.recorder {
             rec.push(Event::Load, addr, now, lat);
         }
         lat
     }
 
     fn store(&mut self, addr: u64, now: u64) -> u64 {
-        let mut m = self.0.borrow_mut();
-        let lat = m.mem.store(addr, now);
-        if let Some(rec) = &mut m.recorder {
+        let lat = self.mem.store(addr, now);
+        if let Some(rec) = &mut self.recorder {
             rec.push(Event::Store, addr, now, lat);
         }
         lat
     }
 
     fn halted(&self) -> bool {
-        self.0.borrow().mem.sealed
+        self.mem.sealed
     }
 }
 
-impl InstrMemory for ImemPort {
+impl InstrMemory for Machine {
     fn fetch(&mut self, pc: u64, now: u64) -> u64 {
-        let mut m = self.0.borrow_mut();
-        let m = &mut *m;
-        let (lat, l2_read) = m.icache.fetch_traced(Addr(pc), &mut m.mem.backend);
-        if let (Some(rec), Some((block, l2_lat))) = (&mut m.recorder, l2_read) {
+        let (lat, l2_read) = self.icache.fetch_traced(Addr(pc), &mut self.mem.backend);
+        if let (Some(rec), Some((block, l2_lat))) = (&mut self.recorder, l2_read) {
             rec.push(Event::L2Read, block.raw(), now, l2_lat);
         }
         lat
