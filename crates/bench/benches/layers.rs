@@ -1,8 +1,8 @@
 //! Layer benchmark: what a full run costs per instruction, what its
 //! core alone costs per instruction, and what its memory side alone
 //! costs per dL1 access, for every paper scheme on a light (gzip) and a
-//! miss-heavy (mcf) workload. Recorded to `BENCH_layers.json` at the
-//! repository root.
+//! miss-heavy (mcf) workload, plus what materialising each workload's
+//! trace costs. Recorded to `BENCH_layers.json` at the repository root.
 //!
 //! ```text
 //! make bench-layers        # or: cargo bench -p icr-bench --bench layers
@@ -21,6 +21,10 @@
 //!   dL1, its codes, the exposure ledger, L2 and memory, with no core.
 //!   In ns per dL1 access. Campaign trials run exactly this layer.
 //!
+//! One more leg per app, outside the scheme cells: **trace** — a fresh
+//! [`WorkloadStore`] materialising the app's trace, in ns per
+//! instruction, with the resident bytes per instruction it holds.
+//!
 //! Each cell checks itself: the core leg's `PipelineStats` and the
 //! replay's `IcrStats` must equal `run_sim`'s, so a timing is only
 //! recorded for a leg that did all of the run's work in its layer. The
@@ -36,7 +40,7 @@ use icr_cpu::{DataMemory, InstrMemory, Pipeline, PipelineStats};
 use icr_mem::{Addr, InstrCache, MemoryBackend};
 use icr_sim::json::{self, obj, Value};
 use icr_sim::{run_sim, SimConfig, Tape};
-use icr_trace::Inst;
+use icr_trace::{Inst, WorkloadStore};
 use std::time::Instant;
 
 const INSTRUCTIONS: u64 = 500_000;
@@ -153,8 +157,29 @@ fn replay_core(
     )
 }
 
+/// The trace leg: best-of-[`REPS`] ns per instruction for a fresh
+/// store to materialise `app`'s trace, and the bytes per instruction
+/// the store holds for it.
+fn trace_leg(app: &str) -> (f64, f64) {
+    let mut bytes = 0;
+    let ns = best_ns(|| {
+        let store = WorkloadStore::new();
+        std::hint::black_box(store.get(app, SEED, INSTRUCTIONS));
+        bytes = store.resident_bytes();
+    }) / INSTRUCTIONS as f64;
+    (ns, bytes as f64 / INSTRUCTIONS as f64)
+}
+
 fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_layers.json");
+
+    let (mut trace_sum, mut trace_bytes) = (0.0, f64::NAN);
+    for app in APPS {
+        let (ns, bytes) = trace_leg(app);
+        println!("trace {app:<5} {ns:>8.1} ns/inst, {bytes} B/inst resident");
+        trace_sum += ns;
+        trace_bytes = bytes;
+    }
 
     let mut rows = Vec::new();
     let (mut headline_core, mut headline_mem) = (f64::NAN, f64::NAN);
@@ -235,6 +260,11 @@ fn main() {
         ("mem_ns_per_access_mean", (mem_sum / cells).into()),
         ("headline_core_ns_per_inst", headline_core.into()),
         ("headline_mem_ns_per_access", headline_mem.into()),
+        (
+            "trace_ns_per_inst_mean",
+            (trace_sum / APPS.len() as f64).into(),
+        ),
+        ("trace_bytes_per_inst", trace_bytes.into()),
     ]);
     println!(
         "  mean: sim {:.1} ns/inst, core {:.1} ns/inst, mem {:.1} ns/access; \

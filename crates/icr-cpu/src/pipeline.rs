@@ -524,10 +524,10 @@ impl Pipeline {
                         let pred_taken = self.bpred.predict(inst.pc);
                         let pred_target = self.btb.lookup(inst.pc);
                         mispredicted = pred_taken != inst.taken
-                            || (inst.taken && pred_target != Some(inst.target));
+                            || (inst.taken && pred_target != Some(inst.target()));
                         self.bpred.update(inst.pc, inst.taken);
                         if inst.taken {
-                            self.btb.update(inst.pc, inst.target);
+                            self.btb.update(inst.pc, inst.target());
                             ends_group = true; // taken branch ends the group
                         }
                         if mispredicted {
@@ -543,7 +543,7 @@ impl Pipeline {
                             op: inst.op,
                             mispredicted,
                             dest: inst.dest,
-                            addr: inst.mem_addr.unwrap_or(0),
+                            addr: inst.mem_addr().unwrap_or(0),
                             done_at: 0,
                             load_latency: 0,
                         },
@@ -741,9 +741,9 @@ mod tests {
         // to X executes and a load of X must forward from the LSQ instead
         // of paying memory latency again.
         let insts = vec![
-            Inst::load(0x100, 0x9000, Reg(9), None),
-            Inst::store(0x104, 0x8000, Reg(1), None),
-            Inst::load(0x108, 0x8000, Reg(2), None),
+            Inst::load(0x100, 0x9000, Some(Reg(9)), [None, None]),
+            Inst::store(0x104, 0x8000, [Some(Reg(1)), None]),
+            Inst::load(0x108, 0x8000, Some(Reg(2)), [None, None]),
         ];
         let mut mem = FixedLatencyMemory {
             load_latency: 50,
@@ -767,7 +767,14 @@ mod tests {
     fn dependent_chain_serialises() {
         // A chain of dependent adds cannot exceed 1 IPC.
         let insts: Vec<_> = (0..1000)
-            .map(|i| Inst::alu(0x100 + i * 4, OpClass::IntAlu, Reg(1), [Some(Reg(1)), None]))
+            .map(|i| {
+                Inst::alu(
+                    0x100 + i * 4,
+                    OpClass::IntAlu,
+                    Some(Reg(1)),
+                    [Some(Reg(1)), None],
+                )
+            })
             .collect();
         let mut cpu = Pipeline::new(CpuConfig::default());
         let stats = cpu.run(insts, &mut PerfectMemory, &mut PerfectMemory);
@@ -787,7 +794,7 @@ mod tests {
                 Inst::alu(
                     0x100 + i * 4,
                     OpClass::IntAlu,
-                    Reg((i % 24) as u8),
+                    Some(Reg((i % 24) as u8)),
                     [None, None],
                 )
             })

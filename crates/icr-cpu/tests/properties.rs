@@ -24,15 +24,21 @@ fn arb_trace() -> impl Strategy<Value = Vec<Inst>> {
             raw.into_iter()
                 .map(|(op, d, s, blk, taken)| {
                     let inst = match op {
-                        OpClass::Load => Inst::load(pc, 0x8000 + blk * 8, Reg(d), Some(Reg(s))),
-                        OpClass::Store => Inst::store(pc, 0x8000 + blk * 8, Reg(s), None),
-                        OpClass::Branch => {
-                            Inst::branch(pc, 0x1000 + (blk % 64) * 4, taken, Some(Reg(s)))
+                        OpClass::Load => {
+                            Inst::load(pc, 0x8000 + blk * 8, Some(Reg(d)), [Some(Reg(s)), None])
                         }
-                        other => Inst::alu(pc, other, Reg(d), [Some(Reg(s)), None]),
+                        OpClass::Store => Inst::store(pc, 0x8000 + blk * 8, [Some(Reg(s)), None]),
+                        OpClass::Branch => Inst::branch(
+                            pc,
+                            0x1000 + (blk % 64) * 4,
+                            taken,
+                            None,
+                            [Some(Reg(s)), None],
+                        ),
+                        other => Inst::alu(pc, other, Some(Reg(d)), [Some(Reg(s)), None]),
                     };
                     pc = if op == OpClass::Branch && taken {
-                        inst.target
+                        inst.target()
                     } else {
                         pc + 4
                     };

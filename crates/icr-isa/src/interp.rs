@@ -224,55 +224,29 @@ impl Machine {
         let record = match decoded {
             Decoded::Lui { rd, imm } => {
                 self.write(rd, imm);
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::IntAlu,
-                    dest: r(rd),
-                    srcs: [None, None],
-                    mem_addr: None,
-                    taken: false,
-                    target: 0,
-                }
+                Inst::alu(u64::from(pc), OpClass::IntAlu, r(rd), [None, None])
             }
             Decoded::Auipc { rd, imm } => {
                 self.write(rd, pc.wrapping_add(imm));
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::IntAlu,
-                    dest: r(rd),
-                    srcs: [None, None],
-                    mem_addr: None,
-                    taken: false,
-                    target: 0,
-                }
+                Inst::alu(u64::from(pc), OpClass::IntAlu, r(rd), [None, None])
             }
             Decoded::Jal { rd, offset } => {
                 let target = pc.wrapping_add(offset as u32);
                 self.write(rd, pc.wrapping_add(4));
                 next_pc = target;
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::Branch,
-                    dest: r(rd),
-                    srcs: [None, None],
-                    mem_addr: None,
-                    taken: true,
-                    target: u64::from(target),
-                }
+                Inst::branch(u64::from(pc), u64::from(target), true, r(rd), [None, None])
             }
             Decoded::Jalr { rd, rs1, offset } => {
                 let target = self.regs[usize::from(rs1)].wrapping_add(offset as u32) & !1;
                 self.write(rd, pc.wrapping_add(4));
                 next_pc = target;
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::Branch,
-                    dest: r(rd),
-                    srcs: [r(rs1), None],
-                    mem_addr: None,
-                    taken: true,
-                    target: u64::from(target),
-                }
+                Inst::branch(
+                    u64::from(pc),
+                    u64::from(target),
+                    true,
+                    r(rd),
+                    [r(rs1), None],
+                )
             }
             Decoded::Branch {
                 cond,
@@ -293,15 +267,13 @@ impl Machine {
                 if taken {
                     next_pc = target;
                 }
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::Branch,
-                    dest: None,
-                    srcs: [r(rs1), r(rs2)],
-                    mem_addr: None,
+                Inst::branch(
+                    u64::from(pc),
+                    u64::from(target),
                     taken,
-                    target: u64::from(target),
-                }
+                    None,
+                    [r(rs1), r(rs2)],
+                )
             }
             Decoded::Load {
                 width,
@@ -312,15 +284,7 @@ impl Machine {
                 let addr = self.regs[usize::from(rs1)].wrapping_add(offset as u32);
                 let value = self.load(addr, width)?;
                 self.write(rd, value);
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::Load,
-                    dest: r(rd),
-                    srcs: [r(rs1), None],
-                    mem_addr: Some(u64::from(addr)),
-                    taken: false,
-                    target: 0,
-                }
+                Inst::load(u64::from(pc), u64::from(addr), r(rd), [r(rs1), None])
             }
             Decoded::Store {
                 width,
@@ -330,68 +294,28 @@ impl Machine {
             } => {
                 let addr = self.regs[usize::from(rs1)].wrapping_add(offset as u32);
                 self.store(addr, width, self.regs[usize::from(rs2)])?;
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::Store,
-                    dest: None,
-                    srcs: [r(rs2), r(rs1)],
-                    mem_addr: Some(u64::from(addr)),
-                    taken: false,
-                    target: 0,
-                }
+                Inst::store(u64::from(pc), u64::from(addr), [r(rs2), r(rs1)])
             }
             Decoded::OpImm { op, rd, rs1, imm } => {
                 let value = Self::alu(op, self.regs[usize::from(rs1)], imm as u32);
                 self.write(rd, value);
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::IntAlu,
-                    dest: r(rd),
-                    srcs: [r(rs1), None],
-                    mem_addr: None,
-                    taken: false,
-                    target: 0,
-                }
+                Inst::alu(u64::from(pc), OpClass::IntAlu, r(rd), [r(rs1), None])
             }
             Decoded::Op { op, rd, rs1, rs2 } => {
                 let value = Self::alu(op, self.regs[usize::from(rs1)], self.regs[usize::from(rs2)]);
                 self.write(rd, value);
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::IntAlu,
-                    dest: r(rd),
-                    srcs: [r(rs1), r(rs2)],
-                    mem_addr: None,
-                    taken: false,
-                    target: 0,
-                }
+                Inst::alu(u64::from(pc), OpClass::IntAlu, r(rd), [r(rs1), r(rs2)])
             }
             Decoded::OpMul { op, rd, rs1, rs2 } => {
                 let value = Self::mul(op, self.regs[usize::from(rs1)], self.regs[usize::from(rs2)]);
                 self.write(rd, value);
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::IntMul,
-                    dest: r(rd),
-                    srcs: [r(rs1), r(rs2)],
-                    mem_addr: None,
-                    taken: false,
-                    target: 0,
-                }
+                Inst::alu(u64::from(pc), OpClass::IntMul, r(rd), [r(rs1), r(rs2)])
             }
             Decoded::Ecall => {
                 // The only environment call is "exit with a0"; retire it
                 // as an ALU op that reads a0, then halt.
                 self.halted = true;
-                Inst {
-                    pc: u64::from(pc),
-                    op: OpClass::IntAlu,
-                    dest: None,
-                    srcs: [Some(Reg(10)), None],
-                    mem_addr: None,
-                    taken: false,
-                    target: 0,
-                }
+                Inst::alu(u64::from(pc), OpClass::IntAlu, None, [Some(Reg(10)), None])
             }
         };
         self.pc = next_pc;
@@ -473,7 +397,7 @@ mod tests {
         assert_eq!(m.exit_value(), 0xfeu32.wrapping_sub(0xffff_fffe));
         let mems: Vec<_> = trace.iter().filter(|i| i.op.is_mem()).collect();
         assert_eq!(mems.len(), 3);
-        assert!(mems.iter().all(|i| i.mem_addr == Some(0x2_0000)));
+        assert!(mems.iter().all(|i| i.mem_addr() == Some(0x2_0000)));
     }
 
     #[test]
@@ -508,9 +432,9 @@ mod tests {
         );
         let branches: Vec<_> = trace.iter().filter(|i| i.op == OpClass::Branch).collect();
         assert_eq!(branches.len(), 3);
-        let loop_pc = branches[0].target;
+        let loop_pc = branches[0].target();
         assert!(branches[0].taken && branches[1].taken && !branches[2].taken);
-        assert!(branches.iter().all(|b| b.target == loop_pc));
+        assert!(branches.iter().all(|b| b.target() == loop_pc));
     }
 
     #[test]

@@ -180,6 +180,13 @@ fn main() -> ExitCode {
     if instructions == 0 {
         return fail_usage("--insts must be at least 1");
     }
+    // The lockstep reference model covers fault-free semantics only.
+    if check && fault.is_some() {
+        return fail_usage("--check audits fault-free runs only; drop --fault");
+    }
+    if check && scrub.is_some() {
+        return fail_usage("--check audits fault-free runs only; drop --scrub");
+    }
 
     if let Some(path) = &trace_in {
         let stored = match icr_trace::disk::read_trace(std::path::Path::new(path)) {

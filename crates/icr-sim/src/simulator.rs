@@ -374,7 +374,7 @@ pub fn store_working_set(trace: &[Inst], geometry: CacheGeometry) -> HashSet<u64
     trace
         .iter()
         .filter(|i| i.op == OpClass::Store)
-        .filter_map(|i| i.mem_addr)
+        .filter_map(|i| i.mem_addr())
         .map(|a| geometry.block_addr(Addr(a)).raw())
         .collect()
 }

@@ -72,7 +72,7 @@ impl Recorder {
     /// A recorder sized for `trace`: one dL1 event per memory
     /// instruction.
     pub(crate) fn for_trace(trace: &[Inst]) -> Recorder {
-        let mem_ops = trace.iter().filter(|i| i.mem_addr.is_some()).count();
+        let mem_ops = trace.iter().filter(|i| i.mem_addr().is_some()).count();
         Recorder {
             addrs: Vec::with_capacity(mem_ops),
             deltas: Vec::with_capacity(mem_ops),

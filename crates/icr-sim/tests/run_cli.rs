@@ -127,6 +127,28 @@ fn out_of_range_fault_exits_2() {
 }
 
 #[test]
+fn check_with_fault_or_scrub_exits_2() {
+    // Lockstep auditing covers fault-free runs only; these used to reach
+    // a library assertion and abort with exit 101.
+    assert_usage_error(
+        &[
+            "vortex",
+            "icr-ecc-ps-ls",
+            "--insts",
+            "5000",
+            "--fault",
+            "0.0005",
+            "--check",
+        ],
+        "--check audits fault-free runs only; drop --fault",
+    );
+    assert_usage_error(
+        &["gzip", "basep", "--check", "--scrub", "100"],
+        "--check audits fault-free runs only; drop --scrub",
+    );
+}
+
+#[test]
 fn display_grammar_scheme_names_parse_too() {
     // The shared parser accepts the paper's display spelling as well as
     // the kebab CLI spelling.

@@ -107,8 +107,8 @@ fn replay_digest(cfg: DataL1Config, app: &str) -> u64 {
     let mut accesses = 0u64;
     for inst in trace.iter() {
         let lat = match inst.op {
-            OpClass::Load => dl1.load(Addr(inst.mem_addr.unwrap()), now, &mut backend),
-            OpClass::Store => dl1.store(Addr(inst.mem_addr.unwrap()), now, &mut backend),
+            OpClass::Load => dl1.load(Addr(inst.mem_addr().unwrap()), now, &mut backend),
+            OpClass::Store => dl1.store(Addr(inst.mem_addr().unwrap()), now, &mut backend),
             _ => {
                 now += 1;
                 continue;

@@ -218,12 +218,12 @@ impl DeltaState {
         {
             buf.push(reg.0);
         }
-        if let Some(addr) = inst.mem_addr {
+        if let Some(addr) = inst.mem_addr() {
             push_varint(buf, zigzag(addr.wrapping_sub(self.prev_mem) as i64));
             self.prev_mem = addr;
         }
         if inst.op == OpClass::Branch {
-            push_varint(buf, zigzag(inst.target.wrapping_sub(inst.pc) as i64));
+            push_varint(buf, zigzag(inst.target().wrapping_sub(inst.pc) as i64));
         }
         Ok(())
     }
@@ -435,29 +435,25 @@ impl<R: Read> TraceReader<R> {
         } else {
             None
         };
-        let mem_addr = if op.is_mem() {
-            let addr = self
-                .state
-                .prev_mem
-                .wrapping_add(unzigzag(self.read_varint()?) as u64);
-            self.state.prev_mem = addr;
-            Some(addr)
-        } else {
-            None
-        };
-        let target = if op == OpClass::Branch {
-            pc.wrapping_add(unzigzag(self.read_varint()?) as u64)
-        } else {
-            0
+        let addr = match op {
+            OpClass::Load | OpClass::Store => {
+                let addr = self
+                    .state
+                    .prev_mem
+                    .wrapping_add(unzigzag(self.read_varint()?) as u64);
+                self.state.prev_mem = addr;
+                addr
+            }
+            OpClass::Branch => pc.wrapping_add(unzigzag(self.read_varint()?) as u64),
+            _ => 0,
         };
         Ok(Inst {
             pc,
+            addr,
             op,
             dest,
             srcs: [src0, src1],
-            mem_addr,
             taken,
-            target,
         })
     }
 
@@ -640,26 +636,22 @@ impl<'a> SliceReader<'a> {
         } else {
             None
         };
-        let mem_addr = if op.is_mem() {
-            let addr = state.prev_mem.wrapping_add(unzigzag(self.varint()?) as u64);
-            state.prev_mem = addr;
-            Some(addr)
-        } else {
-            None
-        };
-        let target = if op == OpClass::Branch {
-            pc.wrapping_add(unzigzag(self.varint()?) as u64)
-        } else {
-            0
+        let addr = match op {
+            OpClass::Load | OpClass::Store => {
+                let addr = state.prev_mem.wrapping_add(unzigzag(self.varint()?) as u64);
+                state.prev_mem = addr;
+                addr
+            }
+            OpClass::Branch => pc.wrapping_add(unzigzag(self.varint()?) as u64),
+            _ => 0,
         };
         Ok(Inst {
             pc,
+            addr,
             op,
             dest,
             srcs: [src0, src1],
-            mem_addr,
             taken,
-            target,
         })
     }
 }
@@ -724,13 +716,18 @@ mod tests {
             Inst::alu(
                 0x40_0000,
                 OpClass::IntAlu,
-                Reg(5),
+                Some(Reg(5)),
                 [Some(Reg(1)), Some(Reg(2))],
             ),
-            Inst::load(0x40_0004, 0x1000_0000, Reg(6), Some(Reg(5))),
-            Inst::store(0x40_0008, 0x1000_0040, Reg(6), Some(Reg(5))),
-            Inst::branch(0x40_000c, 0x40_0000, true, Some(Reg(6))),
-            Inst::alu(0x40_0000, OpClass::FpMul, Reg(40), [Some(Reg(33)), None]),
+            Inst::load(0x40_0004, 0x1000_0000, Some(Reg(6)), [Some(Reg(5)), None]),
+            Inst::store(0x40_0008, 0x1000_0040, [Some(Reg(6)), Some(Reg(5))]),
+            Inst::branch(0x40_000c, 0x40_0000, true, None, [Some(Reg(6)), None]),
+            Inst::alu(
+                0x40_0000,
+                OpClass::FpMul,
+                Some(Reg(40)),
+                [Some(Reg(33)), None],
+            ),
         ]
     }
 
@@ -776,13 +773,13 @@ mod tests {
     #[test]
     fn delta_encoding_keeps_sequential_code_small() {
         // 1k sequential ALU ops: flags + 1-byte Δpc + 2 regs ≈ 5 bytes,
-        // versus 40+ for the in-memory record.
+        // versus 24 for the in-memory record.
         let insts: Vec<Inst> = (0..1000)
             .map(|i| {
                 Inst::alu(
                     0x40_0000 + 4 * i,
                     OpClass::IntAlu,
-                    Reg(1),
+                    Some(Reg(1)),
                     [Some(Reg(2)), None],
                 )
             })
@@ -793,8 +790,7 @@ mod tests {
 
     #[test]
     fn writer_rejects_contract_violations() {
-        let mut bad = Inst::alu(0, OpClass::IntAlu, Reg(70), [None, None]);
-        bad.dest = Some(Reg(70));
+        let bad = Inst::alu(0, OpClass::IntAlu, Some(Reg(70)), [None, None]);
         let mut writer = TraceWriter::new(Cursor::new(Vec::new()), "gzip", 1).unwrap();
         assert!(matches!(writer.write(&bad), Err(DiskError::Invalid(_))));
     }

@@ -355,20 +355,20 @@ impl Iterator for TraceGenerator {
                     let base = self.pick_src();
                     let dest = self.pick_dest(false);
                     self.pending_load_dest = Some(dest);
-                    Inst::load(pc, addr, dest, base)
+                    Inst::load(pc, addr, Some(dest), [base, None])
                 }
                 OpClass::Store => {
                     let addr = self.pick_mem_addr(true);
                     let src = self
                         .pick_src()
                         .unwrap_or(Reg(self.rng.gen_range(0..INT_REGS)));
-                    Inst::store(pc, addr, src, None)
+                    Inst::store(pc, addr, [Some(src), None])
                 }
                 op => {
                     let fp = matches!(op, OpClass::FpAlu | OpClass::FpMul);
                     let srcs = [self.pick_src(), self.pick_src()];
                     let dest = self.pick_dest(fp);
-                    Inst::alu(pc, op, dest, srcs)
+                    Inst::alu(pc, op, Some(dest), srcs)
                 }
             };
             Some(inst)
@@ -384,7 +384,7 @@ impl Iterator for TraceGenerator {
             } else {
                 (self.cur_block + 1) % self.blocks.len()
             };
-            Some(Inst::branch(pc, target_pc, taken, src))
+            Some(Inst::branch(pc, target_pc, taken, None, [src, None]))
         }
     }
 }
@@ -432,7 +432,7 @@ mod tests {
         let base = p.data_base;
         let end = base + p.locality.total_blocks() as u64 * 64;
         for inst in TraceGenerator::new(p, 3).take(20_000) {
-            if let Some(a) = inst.mem_addr {
+            if let Some(a) = inst.mem_addr() {
                 assert!(inst.op.is_mem());
                 assert!((base..end).contains(&a), "addr {a:#x} out of segment");
                 assert_eq!(a % 8, 0, "addresses are word-aligned");
@@ -449,7 +449,7 @@ mod tests {
             gen.blocks.iter().map(|b| b.start_pc).collect();
         for inst in gen.take(20_000) {
             if inst.op == OpClass::Branch {
-                assert!(starts.contains(&inst.target));
+                assert!(starts.contains(&inst.target()));
             }
         }
     }
@@ -462,7 +462,7 @@ mod tests {
                 if p.op != OpClass::Branch {
                     assert_eq!(inst.pc, p.pc + INST_BYTES, "fallthrough is sequential");
                 } else if p.taken {
-                    assert_eq!(inst.pc, p.target);
+                    assert_eq!(inst.pc, p.target());
                 }
             }
             prev = Some(inst);
@@ -476,7 +476,7 @@ mod tests {
         let mut hot = 0u64;
         let mut total = 0u64;
         for inst in TraceGenerator::new(p.clone(), 5).take(100_000) {
-            if let Some(a) = inst.mem_addr {
+            if let Some(a) = inst.mem_addr() {
                 total += 1;
                 if a < hot_end {
                     hot += 1;
@@ -495,7 +495,7 @@ mod tests {
         let p = apps::profile("mcf");
         let mut blocks = std::collections::HashSet::new();
         for inst in TraceGenerator::new(p, 5).take(100_000) {
-            if let Some(a) = inst.mem_addr {
+            if let Some(a) = inst.mem_addr() {
                 blocks.insert(a / 64);
             }
         }

@@ -45,7 +45,7 @@ impl TraceStats {
                 }
                 _ => {}
             }
-            if let Some(a) = inst.mem_addr {
+            if let Some(a) = inst.mem_addr() {
                 blocks.insert(a / 64);
             }
         }

@@ -127,16 +127,17 @@ pub trait WorkloadSource: Send + Sync {
     fn materialise(&self, app: &str, seed: u64, instructions: u64) -> Arc<[Inst]>;
 }
 
-/// Thread-safe store of materialised traces; see the module docs.
-///
-/// The store is unbounded: every distinct key stays resident for the
-/// lifetime of the store. At the repo's experiment scale this is tens of
-/// traces (a few hundred MB at the default 200k-instruction budget),
-/// traded deliberately for never generating a trace twice.
 /// A shared once-initialised slot for one trace: cloned out of the map so
 /// materialisation runs without holding the map lock.
 type TraceSlot = Arc<OnceLock<Arc<[Inst]>>>;
 
+/// Thread-safe store of materialised traces; see the module docs.
+///
+/// The store is unbounded: every distinct key stays resident for the
+/// lifetime of the store. At the repo's experiment scale this is tens of
+/// traces (4.8 MB each at the default 200k-instruction budget and
+/// 24 B per instruction), traded deliberately for never generating a
+/// trace twice. Each trace is one allocation of exactly its length.
 #[derive(Default)]
 pub struct WorkloadStore {
     traces: Mutex<HashMap<TraceKey, TraceSlot>>,
@@ -217,9 +218,16 @@ impl WorkloadStore {
         };
         match source {
             Some(source) => source.materialise(app, seed, instructions),
-            None => TraceGenerator::new(apps::profile(app), seed)
-                .take(instructions as usize)
-                .collect(),
+            None => {
+                // An exact-length iterator: std sizes the `Arc<[Inst]>`
+                // once and writes each record in place. `take(n)` would
+                // only give an upper bound, so `collect` would grow a
+                // `Vec` and then copy it into the `Arc`.
+                let mut gen = TraceGenerator::new(apps::profile(app), seed);
+                (0..instructions as usize)
+                    .map(|_| gen.next().expect("the generator never ends"))
+                    .collect()
+            }
         }
     }
 
@@ -446,7 +454,7 @@ mod tests {
                     Inst::alu(
                         0x40_0000 + 4 * i,
                         crate::inst::OpClass::IntAlu,
-                        crate::inst::Reg(1),
+                        Some(crate::inst::Reg(1)),
                         [None, None],
                     )
                 })

@@ -61,15 +61,16 @@ fn arb_inst() -> impl Strategy<Value = Inst> {
                 OpClass::Store,
                 OpClass::Branch,
             ][op_idx];
-            Inst {
-                pc,
-                op,
-                dest,
-                srcs: [src0, src1],
-                mem_addr: op.is_mem().then_some(addr),
-                taken: op == OpClass::Branch && taken,
-                target: if op == OpClass::Branch { target } else { 0 },
-            }
+            let srcs = [src0, src1];
+            let mut inst = match op {
+                OpClass::Load => Inst::load(pc, addr, dest, srcs),
+                OpClass::Store => Inst::store(pc, addr, srcs),
+                OpClass::Branch => Inst::branch(pc, target, taken, dest, srcs),
+                op => Inst::alu(pc, op, dest, srcs),
+            };
+            // The contract lets a store name a destination too.
+            inst.dest = dest;
+            inst
         })
 }
 
@@ -122,13 +123,18 @@ fn fixed_trace() -> Vec<Inst> {
         Inst::alu(
             0x40_0000,
             OpClass::IntAlu,
-            Reg(5),
+            Some(Reg(5)),
             [Some(Reg(1)), Some(Reg(2))],
         ),
-        Inst::load(0x40_0004, 0x1000_0000, Reg(6), Some(Reg(5))),
-        Inst::store(0x40_0008, 0x1000_0040, Reg(6), Some(Reg(5))),
-        Inst::branch(0x40_000c, 0x40_0000, true, Some(Reg(6))),
-        Inst::alu(0x40_0010, OpClass::FpMul, Reg(40), [Some(Reg(33)), None]),
+        Inst::load(0x40_0004, 0x1000_0000, Some(Reg(6)), [Some(Reg(5)), None]),
+        Inst::store(0x40_0008, 0x1000_0040, [Some(Reg(6)), Some(Reg(5))]),
+        Inst::branch(0x40_000c, 0x40_0000, true, None, [Some(Reg(6)), None]),
+        Inst::alu(
+            0x40_0010,
+            OpClass::FpMul,
+            Some(Reg(40)),
+            [Some(Reg(33)), None],
+        ),
     ]
 }
 

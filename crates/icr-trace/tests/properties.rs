@@ -86,21 +86,21 @@ proptest! {
         for inst in &a {
             match inst.op {
                 OpClass::Load => {
-                    prop_assert!(inst.mem_addr.is_some());
+                    prop_assert!(inst.mem_addr().is_some());
                     prop_assert!(inst.dest.is_some());
                 }
                 OpClass::Store => {
-                    prop_assert!(inst.mem_addr.is_some());
+                    prop_assert!(inst.mem_addr().is_some());
                     prop_assert!(inst.dest.is_none());
                     prop_assert!(inst.srcs[0].is_some(), "stores carry a data source");
                 }
                 OpClass::Branch => {
-                    prop_assert!(inst.mem_addr.is_none());
-                    prop_assert!(inst.target >= profile.code_base);
+                    prop_assert!(inst.mem_addr().is_none());
+                    prop_assert!(inst.target() >= profile.code_base);
                 }
-                _ => prop_assert!(inst.mem_addr.is_none()),
+                _ => prop_assert!(inst.mem_addr().is_none()),
             }
-            if let Some(addr) = inst.mem_addr {
+            if let Some(addr) = inst.mem_addr() {
                 prop_assert_eq!(addr % 8, 0, "word aligned");
                 prop_assert!(addr >= profile.data_base);
             }
